@@ -10,13 +10,17 @@ into two periodic layers:
 * low digits: positions i0-1 down to 1 form a tail word that depends
   only on n modulo a period P with M | P.
 
-The tail is extracted through the remainder function
-R(n) = (a^-1 mod F_n) - sum_{i=i0}^{n-1} z_{n-i} F_i, which is bounded by
-sum_{i<i0} F_i and periodic in n.  Synthesis probes R(n) along each
-admissible residue class using O(1)-per-step linear recurrences modulo a
-prime q exceeding the bound (so residues equal true values), detects the
-minimal period empirically over a validation window, and cross-checks one
-exact big-integer evaluation per class.
+The tail word spells the remainder
+R(n) = (a^-1 mod F_n) - sum_{i=i0}^{n-1} z_{n-i} F_i, which has a closed
+form.  With Tr(u + v*phi) = 2u + v, F_i = Tr(phi^i / sqrt5),
+a^-1 mod F_n = (b_r F_n + 1)/a and b_r/a = sum_j z_j phi^-j,
+
+    R(n) = 1/a + Tr(phi^i0 * T^(n-i0)(x_r) / sqrt5)
+         = (1 + p_k F_i0 + q_k F_(i0+1)) / a,   k = (n - i0) mod L_r,
+
+where T is the digit map and T^k(x_r) = (p_k + q_k*phi)/a is the k-th
+state of the digit orbit of x_r, of length L_r.  So every tail value is
+read off the orbit exactly.
 """
 
 from __future__ import annotations
@@ -54,12 +58,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# Probe-window schedule for tail-period detection: require the minimal
-# period to be confirmed on at least three full repetitions, widening the
-# window if needed.  In practice the period is found instantly.
-_PROBE_START = 96
-_PROBE_MAX = 1536
 
 
 @dataclass(frozen=True)
@@ -134,52 +132,6 @@ class VerificationReport:
 
 # --------------------------------------------------------------------------
 # synthesis
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in small:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _next_prime_above(lo: int) -> int:
-    cand = lo + 1
-    if cand <= 2:
-        return 2
-    if cand % 2 == 0:
-        cand += 1
-    while not _is_probable_prime(cand):
-        cand += 2
-    return cand
-
-
-def _min_validated_period(values: list[int]) -> int | None:
-    """Smallest p with values[i] == values[i-p] throughout, if the window
-    covers at least three repetitions of it."""
-    n = len(values)
-    for p in range(1, n // 3 + 1):
-        if all(values[i] == values[i - p] for i in range(p, n)):
-            return p
-    return None
 
 
 def _greedy_word(value: int, i0: int) -> str:
@@ -290,102 +242,70 @@ def _extract_tails(
     n0: int,
     z: dict[int, ZClass],
 ) -> tuple[dict[int, str], int]:
-    """Probe R(n) along every admissible residue class and build the tail
-    table together with its period P = M * lcm(per-class periods)."""
-    bound = fib(i0 + 1) - 1  # sum_{i < i0} F_i
-    q = _next_prime_above(max(a, bound))
-    a_inv_q = pow(a, -1, q)
+    """Build the tail table and its period P = M * lcm(rho_r) exactly.
 
-    # Fibonacci residues mod q up to everything the recurrences touch.
-    top = max(n0 + m_per + 1, i0 + m_per + 1)
-    fq = [0, 1 % q]
-    for _ in range(top):
-        fq.append((fq[-1] + fq[-2]) % q)
-    f_m1, f_m, f_m_next = fq[m_per - 1], fq[m_per], fq[m_per + 1]
+    For each admissible residue r the digit orbit of x_r = b_r/a is walked
+    from the stored period bits, (p, q) -> (q - a*d, p + q) from (b_r, 0),
+    and must close after L_r steps.  Along n = n_start + t*M the orbit
+    index k = (n - i0) mod L_r repeats with period L_r / gcd(L_r, M), and
+    R(n) = (1 + p_k F_i0 + q_k F_(i0+1)) / a on each visited state (see
+    the module docstring); rho_r is the minimal period of that finite
+    sequence.  Each value must be integral and lie in [0, F_(i0+1) - 1),
+    and the first one per residue is cross-checked against the big-integer
+    inverse.
+    """
+    f_i0, f_i1 = fib_pair(i0)
+    bound = f_i1 - 1  # sum_{i < i0} F_i
+    top = 0
+    starts: dict[int, int] = {}
+    words: dict[int, list[str]] = {}
+    for r, zc in z.items():
+        per = zc.zbits.period
+        lr = len(per)
+        orbit = []
+        p, q = zc.b, 0
+        for ch in per:
+            orbit.append((p, q))
+            d = 1 if ch == "1" else 0
+            p, q = q - a * d, p + q
+        if (p, q) != (zc.b, 0):
+            raise SynthesisError(f"digit orbit of {zc.x} does not close for a={a}")
 
-    probes = _PROBE_START
-    while True:
-        per_residue: dict[int, list[int]] = {}
-        rho: dict[int, int] = {}
-        ok = True
-        for r, zc in z.items():
-            per = zc.zbits.period
-            lr = len(per)
-            n_start = n0 + ((r - n0) % m_per)
-            # A(n) = sum z_j F_{n-j}, B(n) = same with F_{n-j+1} (mod q),
-            # summed over j in [1, n - i0].
-            a_acc = 0
-            b_acc = 0
-            for j in range(1, n_start - i0 + 1):
-                if per[(j - 1) % lr] == "1":
-                    a_acc = (a_acc + fq[n_start - j]) % q
-                    b_acc = (b_acc + fq[n_start - j + 1]) % q
-            # Stepping n -> n + M appends M fresh digit positions whose
-            # Fibonacci weights depend only on the phase (n - i0) mod lr.
-            bnd_a = []
-            bnd_b = []
-            for phase in range(lr):
-                sa = sb = 0
-                for d in range(m_per):
-                    if per[(phase + d) % lr] == "1":
-                        sa = (sa + fq[i0 + m_per - 1 - d]) % q
-                        sb = (sb + fq[i0 + m_per - d]) % q
-                bnd_a.append(sa)
-                bnd_b.append(sb)
-
-            f_n, f_n1 = fq[n_start], fq[n_start + 1]
-            values = []
-            n = n_start
-            for _ in range(probes):
-                remainder = ((zc.b * f_n + 1) * a_inv_q - a_acc) % q
-                if remainder >= bound:
-                    raise SynthesisError(
-                        f"remainder {remainder} out of range for a={a}, n={n}"
-                    )
-                values.append(remainder)
-                phase = (n - i0) % lr
-                a_acc, b_acc = (
-                    (f_m * b_acc + f_m1 * a_acc + bnd_a[phase]) % q,
-                    (f_m_next * b_acc + f_m * a_acc + bnd_b[phase]) % q,
-                )
-                f_n, f_n1 = (
-                    (f_m1 * f_n + f_m * f_n1) % q,
-                    (f_m * f_n + f_m_next * f_n1) % q,
-                )
-                n += m_per
-
-            if values[0] != _exact_remainder(a, n_start, i0, per):
-                raise SynthesisError(
-                    f"probe disagrees with exact remainder at a={a}, n={n_start}"
-                )
-            p = _min_validated_period(values)
-            if p is None:
-                ok = False
-                break
-            per_residue[r] = values
-            rho[r] = p
-
-        if ok:
-            break
-        probes *= 2
-        if probes > _PROBE_MAX:
-            raise SynthesisError(
-                f"no tail period validated within {_PROBE_MAX} probes for a={a}"
-            )
-
-    sharp = fib(i0)
-    if any(v >= sharp for vals in per_residue.values() for v in vals):
-        logger.debug("tail bound F_i0 exceeded for a=%d (still within proven bound)", a)
-    else:
-        logger.debug("sharper tail bound F_i0 held empirically for a=%d", a)
-
-    period = m_per * math.lcm(*rho.values())
-    tails: dict[int, str] = {}
-    for r, values in per_residue.items():
         n_start = n0 + ((r - n0) % m_per)
+        values = []
+        for t in range(lr // math.gcd(lr, m_per)):
+            n = n_start + t * m_per
+            p, q = orbit[(n - i0) % lr]
+            value, rest = divmod(1 + p * f_i0 + q * f_i1, a)
+            if rest:
+                raise SynthesisError(f"remainder is not integral for a={a}, n={n}")
+            if not 0 <= value < bound:
+                raise SynthesisError(
+                    f"remainder {value} out of range for a={a}, n={n}"
+                )
+            values.append(value)
+        if values[0] != _exact_remainder(a, n_start, i0, per):
+            raise SynthesisError(
+                f"orbit remainder disagrees with exact remainder at a={a}, n={n_start}"
+            )
+        count = len(values)
+        rho = next(
+            d for d in range(1, count + 1)
+            if count % d == 0 and values[:d] * (count // d) == values
+        )
+        top = max(top, *values)
+        starts[r] = n_start
+        words[r] = [_greedy_word(v, i0) for v in values[:rho]]
+
+    logger.debug(
+        "tail bound F_i0 %s for a=%d", "exceeded" if top >= f_i0 else "held", a
+    )
+
+    period = m_per * math.lcm(*(len(w) for w in words.values()))
+    tails: dict[int, str] = {}
+    for r, w in words.items():
         for t in range(period // m_per):
-            c = (n_start + t * m_per) % period
-            tails[c] = _greedy_word(values[t % rho[r]], i0)
+            tails[(starts[r] + t * m_per) % period] = w[t % len(w)]
     return tails, period
 
 
@@ -506,29 +426,55 @@ def to_json_dict(spec: PatternSpec) -> dict:
     }
 
 
+def _json_int(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer; bools, floats and strings are refused."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_key(key: object) -> int:
+    """A table key, which must be an integer written in canonical decimal."""
+    if type(key) is not str or key != str(int(key)):
+        raise DomainError(f"table key must be a decimal integer, got {key!r}")
+    return int(key)
+
+
 def from_json_dict(data: dict) -> PatternSpec:
-    """Rebuild a PatternSpec and re-validate every structural invariant."""
+    """Rebuild a PatternSpec and re-validate every structural invariant.
+
+    Field types and table sizes are checked before any loop whose length
+    comes from a field value, so a small file is rejected quickly.
+    """
     try:
-        a = int(data["a"])
-        m_per = int(data["M"])
-        ell = int(data["ell"])
-        i0 = int(data["i0"])
-        n0 = int(data["n0"])
-        tail_period = int(data["tail_period"])
-        z_raw = data["z"]
-        tail_raw = data["tail"]
-    except (KeyError, TypeError, ValueError) as exc:
+        a, m_per, ell, i0, n0, tail_period = (
+            _json_int(data[name], name)
+            for name in ("a", "M", "ell", "i0", "n0", "tail_period")
+        )
+        z: dict[int, ZClass] = {}
+        for key, entry in data["z"].items():
+            r = _json_key(key)
+            b = _json_int(entry["b"], f"b of residue {key}")
+            bits = entry["period_bits"]
+            if not isinstance(bits, str):
+                raise DomainError(f"period_bits of residue {key} must be a string")
+            if not 0 <= r < m_per or not 1 <= b < a:
+                raise DomainError(f"residue entry out of range: r={r}, b={b}")
+            z[r] = ZClass(b, Fraction(b, a), EventuallyPeriodicBits("", bits))
+        tail = {_json_key(c): word for c, word in data["tail"].items()}
+    except DomainError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed pattern data: {exc}") from exc
 
-    z: dict[int, ZClass] = {}
-    for key, entry in z_raw.items():
-        r = int(key)
-        b = int(entry["b"])
-        if not 0 <= r < m_per or not 1 <= b < a:
-            raise DomainError(f"residue entry out of range: r={r}, b={b}")
-        zbits = EventuallyPeriodicBits("", str(entry["period_bits"]))
-        z[r] = ZClass(b, Fraction(b, a), zbits)
-    tail = {int(c): str(word) for c, word in tail_raw.items()}
+    if a < 2 or m_per < 1 or not z:
+        raise DomainError("need a >= 2, M >= 1 and at least one admissible residue")
+    if (
+        tail_period < m_per
+        or tail_period % m_per
+        or len(tail) != tail_period // m_per * len(z)
+    ):
+        raise DomainError("tail_period does not match M and the tail table size")
 
     spec = PatternSpec(
         a=a,
@@ -539,25 +485,40 @@ def from_json_dict(data: dict) -> PatternSpec:
         tail_period=tail_period,
         z=z,
         tail=tail,
-        inadmissible=frozenset(r for r in range(m_per) if r not in z),
+        inadmissible=_inadmissible_residues(a, m_per, z),
     )
     _validate_spec(spec)
     return spec
 
 
+def _inadmissible_residues(a: int, m_per: int, z: dict[int, ZClass]) -> frozenset[int]:
+    """The residues r in [0, M) with gcd(a, F_r) > 1, read off ``z``.
+
+    One walk over (F_r, F_(r+1)) mod a checks that ``z`` holds exactly the
+    admissible residues and that M is the Pisano period of a.  A claimed M
+    far too large stops the walk at the first admissible residue missing
+    from ``z``.
+    """
+    inadmissible = []
+    f, g = 0, 1
+    for r in range(m_per):
+        if r and (f, g) == (0, 1):
+            raise DomainError(f"M={m_per} is not the Pisano period of a={a}")
+        if (math.gcd(a, f) == 1) != (r in z):
+            raise DomainError(f"admissibility of residue {r} mislabeled")
+        if r not in z:
+            inadmissible.append(r)
+        f, g = g, (f + g) % a
+    if (f, g) != (0, 1):
+        raise DomainError(f"M={m_per} is not the Pisano period of a={a}")
+    return frozenset(inadmissible)
+
+
 def _validate_spec(spec: PatternSpec) -> None:
-    if spec.a < 2 or spec.M < 1 or spec.tail_period % spec.M:
-        raise DomainError("inconsistent a / M / tail_period")
-    if not spec.z:
-        raise DomainError("no admissible residues recorded")
     if spec.ell != math.lcm(*(len(zc.zbits.period) for zc in spec.z.values())):
         raise DomainError("ell is not the lcm of the z-period lengths")
     if spec.i0 != spec.ell + 3 or spec.n0 < spec.i0 + 1:
         raise DomainError("i0 / n0 inconsistent with ell")
-    for r in range(spec.M):
-        admissible = math.gcd(spec.a, fib_mod(r, spec.a)) == 1
-        if admissible != (r in spec.z):
-            raise DomainError(f"admissibility of residue {r} mislabeled")
     for r, zc in spec.z.items():
         if (zc.b * fib_mod(r, spec.a) + 1) % spec.a:
             raise DomainError(f"b for residue {r} fails b*F_r == -1 (mod a)")
@@ -571,7 +532,11 @@ def _validate_spec(spec: PatternSpec) -> None:
     if set(spec.tail) != expected_classes:
         raise DomainError("tail table does not cover the admissible classes")
     for c, word in spec.tail.items():
-        if len(word) != spec.i0 - 1 or any(ch not in "01" for ch in word):
+        if (
+            not isinstance(word, str)
+            or len(word) != spec.i0 - 1
+            or any(ch not in "01" for ch in word)
+        ):
             raise DomainError(f"bad tail word for class {c}")
         value = sum(
             fib(spec.i0 - 1 - j) for j, ch in enumerate(word) if ch == "1"

@@ -1,9 +1,11 @@
 """Tests for pattern synthesis, evaluation, verification and serialization."""
 
+import hashlib
 import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +308,68 @@ def test_verify_range_validation(spec2):
         verify(spec2, 3, 100)  # below n0
     with pytest.raises(DomainError):
         verify(spec2, 50, 40)
+
+
+def test_canonical_json_matches_golden_hashes():
+    # SHA-256 of the canonical JSON of synthesize(a) for every a in
+    # [2, 100]: saved pattern files must stay byte-stable.
+    golden_path = Path(__file__).parent / "data" / "pattern_sha256.json"
+    golden = json.loads(golden_path.read_text())
+    assert sorted(map(int, golden)) == list(range(2, 101))
+    for a in range(2, 101):
+        text = json.dumps(to_json_dict(synthesize(a)), sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == golden[str(a)], a
+
+
+@pytest.mark.parametrize("name", ["a", "M", "ell", "i0", "n0", "tail_period"])
+def test_from_json_rejects_non_integer_fields(spec2, name):
+    good = to_json_dict(spec2)[name]
+    for bad in (good + 0.9, float(good), str(good), True):
+        with pytest.raises(DomainError):
+            from_json_dict(tampered(spec2, **{name: bad}))
+
+
+def test_from_json_rejects_coerced_entries(spec2):
+    assert spec2.z[1].b == 1
+    for bad in (1.0, 1.5, "1", True):
+        data = to_json_dict(spec2)
+        data["z"]["1"]["b"] = bad
+        with pytest.raises(DomainError):
+            from_json_dict(data)
+    data = to_json_dict(spec2)
+    data["z"]["1"]["period_bits"] = list("010")
+    with pytest.raises(DomainError):
+        from_json_dict(data)
+    data = to_json_dict(spec2)
+    data["tail"]["1"] = list("10100")
+    with pytest.raises(DomainError):
+        from_json_dict(data)
+    for key in ("x", "01", " 1", "+1"):
+        data = to_json_dict(spec2)
+        data["z"][key] = data["z"].pop("1")
+        with pytest.raises(DomainError):
+            from_json_dict(data)
+        data = to_json_dict(spec2)
+        data["tail"][key] = data["tail"].pop("1")
+        with pytest.raises(DomainError):
+            from_json_dict(data)
+
+
+def test_from_json_rejects_huge_tail_period_quickly(spec2):
+    text = json.dumps(tampered(spec2, tail_period=3 * 10**6), sort_keys=True, indent=2)
+    assert len(text) < 400
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        from_json_dict(json.loads(text))
+    assert time.perf_counter() - t0 < 0.05
+
+
+def test_from_json_rejects_multiple_of_pisano_period(spec2):
+    # a = 2 has Pisano period 3; this file repeats the real z and tail
+    # tables over M = 6, so every other invariant holds.
+    data = to_json_dict(spec2)
+    data["M"] = data["tail_period"] = 6
+    data["z"] = {str(r): data["z"][str(r % 3)] for r in (1, 2, 4, 5)}
+    data["tail"] = {str(c): data["tail"][str(c % 3)] for c in (1, 2, 4, 5)}
+    with pytest.raises(DomainError, match="Pisano"):
+        from_json_dict(data)
