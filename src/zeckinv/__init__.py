@@ -8,15 +8,12 @@ inverse for any admissible n by index arithmetic alone, and verify()
 checks the whole construction against an independent brute-force oracle.
 """
 
-from ._core import USING_COMPILED_KERNEL
 from .basephi import (
-    DigitState,
     EventuallyPeriodicBits,
     digit_at,
     eval_closed_form,
     expand,
     splice_check,
-    t_step,
     zeckendorf_from_phi,
 )
 from .bigfib import PisanoPeriod, fib, fib_mod, fib_pair, mod_inverse, pisano
@@ -57,6 +54,9 @@ from .zeckendorf import (
 
 __version__ = "0.1.0"
 
+# Always False: all code is pure Python; perfbench kernel_info() still records it.
+USING_COMPILED_KERNEL = False
+
 __all__ = [
     "__version__",
     "USING_COMPILED_KERNEL",
@@ -90,8 +90,6 @@ __all__ = [
     "parse_qphi",
     # basephi
     "EventuallyPeriodicBits",
-    "DigitState",
-    "t_step",
     "expand",
     "eval_closed_form",
     "digit_at",

@@ -13,20 +13,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _core
 from .errors import (
     DomainError,
     InternalInvariantViolation,
     InvalidRep,
     PreconditionError,
 )
-from .qphi import QPhi, phi_pow, sqrt5
+from .qphi import QPhi, phi_pow, sign_of, sqrt5
 from .zeckendorf import ZeckendorfRep, normalize_index_one
 
 __all__ = [
     "EventuallyPeriodicBits",
-    "DigitState",
-    "t_step",
     "expand",
     "eval_closed_form",
     "digit_at",
@@ -98,29 +95,6 @@ def _canonical_bits(pre: str, per: str) -> EventuallyPeriodicBits:
     return EventuallyPeriodicBits(pre, per)
 
 
-@dataclass(frozen=True)
-class DigitState:
-    """A T-orbit point; carries the invariant 0 <= x < 1."""
-
-    x: QPhi
-
-    def __post_init__(self) -> None:
-        if self.x.sign() < 0 or (self.x - 1).sign() >= 0:
-            raise DomainError(f"digit state {self.x} outside [0, 1)")
-
-
-def t_step(state: DigitState) -> tuple[int, DigitState]:
-    """One application of T: emit digit floor(phi*x), keep the fraction.
-
-    In coordinates, (u, v) -> (v - digit, u + v); for x in [0,1) we have
-    phi*x < 2, so the digit test reduces to one sign evaluation.
-    """
-    u, v = state.x.u, state.x.v
-    # digit = 1  iff  phi*x - 1 = (v - 1) + (u + v)*phi >= 0
-    digit = 1 if QPhi(v - 1, u + v).sign() >= 0 else 0
-    return digit, DigitState(QPhi(v - digit, u + v))
-
-
 def _unit_interval_pair(x: QPhi | Fraction | int) -> tuple[int, int, int]:
     """Coerce x to integer coordinates (p, q, den) with x = (p + q*phi)/den,
     gcd-reduced; raises DomainError unless x lies in [0, 1)."""
@@ -140,12 +114,28 @@ def _unit_interval_pair(x: QPhi | Fraction | int) -> tuple[int, int, int]:
 def expand(x: QPhi | Fraction | int) -> EventuallyPeriodicBits:
     """The digit expansion of x in [0, 1), computed exactly.
 
-    The orbit is tracked in integer coordinates with a fixed denominator;
-    the first revisited state splits the digit stream into the minimal
-    preperiod and the primitive period.
+    The digit map acts on x = (p + q*phi)/den as
+    phi*x = (q + (p+q)*phi)/den; the emitted digit is 1 exactly when
+    phi*x >= 1, i.e. when (q - den) + (p+q)*phi >= 0, and the next state is
+    (q - d*den, p + q).  The denominator never changes, and conjugate
+    coordinates contract toward a fixed window, so orbits are finite.
+
+    States are keyed exactly, so the first revisited state splits the digit
+    stream into the minimal preperiod and the primitive period (two
+    positions carry equal digit tails if and only if they carry equal
+    states, since the state is determined by the remaining value).
     """
     p, q, den = _unit_interval_pair(x)
-    digits, pre_len = _core.expand_pair(p, q, den)
+    seen: dict[tuple[int, int], int] = {}
+    digits: list[int] = []
+    state = (p, q)
+    while state not in seen:
+        seen[state] = len(digits)
+        p, q = state
+        d = 1 if sign_of(q - den, p + q) >= 0 else 0
+        digits.append(d)
+        state = (q - den * d, p + q)
+    pre_len = seen[state]
     word = "".join("1" if d else "0" for d in digits)
     try:
         return _canonical_bits(word[:pre_len], word[pre_len:])
@@ -204,10 +194,15 @@ def zeckendorf_from_phi(n: int) -> ZeckendorfRep:
     # Smallest m >= 2 with phi^m > sqrt5 * n, tracked via (F_{m-1}, F_m):
     # phi^m - sqrt5*n = (F_{m-1} + n) + (F_m - 2n) * phi.
     m, f_m1, f_m = 2, 1, 1
-    while QPhi(f_m1 + n, f_m - 2 * n).sign() <= 0:
+    while sign_of(f_m1 + n, f_m - 2 * n) <= 0:
         m, f_m1, f_m = m + 1, f_m, f_m1 + f_m
     x = sqrt5() * n * phi_pow(-m)  # integer coordinates, denominator 1
-    digits = _core.digits_prefix(int(x.u), int(x.v), 1, m)
+    p, q = int(x.u), int(x.v)
+    digits = []
+    for _ in range(m):
+        d = 1 if sign_of(q - 1, p + q) >= 0 else 0
+        digits.append(d)
+        p, q = q - d, p + q
     if digits[m - 1] != 0:
         raise InternalInvariantViolation(
             f"digit m={m} of sqrt5*{n}*phi^-{m} is not 0"

@@ -557,8 +557,12 @@ def save_pattern(spec: PatternSpec, path: str) -> None:
 
 
 def load_pattern(path: str) -> PatternSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise DomainError(f"cannot read pattern file {path!r}: {exc}") from exc
+    return from_json_dict(data)
 
 
 def report_to_json_dict(report: VerificationReport) -> dict:

@@ -15,7 +15,7 @@ from functools import total_ordering
 from .bigfib import fib_pair
 from .errors import DomainError, InternalInvariantViolation
 
-__all__ = ["QPhi", "phi_pow", "sqrt5", "PHI", "parse_qphi"]
+__all__ = ["QPhi", "sign_of", "phi_pow", "sqrt5", "PHI", "parse_qphi"]
 
 _RationalLike = int | Fraction
 
@@ -26,6 +26,27 @@ def _as_fraction(x: _RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise DomainError(f"not a rational coefficient: {x!r}")
+
+
+def sign_of(u: _RationalLike, v: _RationalLike) -> int:
+    """Exact sign in {-1, 0, +1} of u + v*phi, for int or Fraction u, v.
+
+    Writes u + v*phi = (s + v*sqrt5)/2 with s = 2u + v.  If s and v do not
+    disagree in sign the answer is immediate; otherwise it comes from
+    comparing s^2 against 5 v^2 (sqrt5 is irrational, so the two are never
+    equal with s, v not both zero).
+    """
+    s = 2 * u + v
+    if s >= 0 and v >= 0:
+        return 1 if (s or v) else 0
+    if s <= 0 and v <= 0:
+        return -1
+    d = s * s - 5 * v * v
+    if d == 0:
+        raise InternalInvariantViolation("s^2 = 5 v^2 with rational s, v != 0")
+    if s > 0:
+        return 1 if d > 0 else -1
+    return -1 if d > 0 else 1
 
 
 @total_ordering
@@ -127,27 +148,8 @@ class QPhi:
         return QPhi(self.u + self.v, -self.v)
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}.
-
-        Writes x = (s + t*sqrt5)/2 with s = 2u + v, t = v.  If s and t do
-        not disagree in sign the answer is immediate; otherwise it comes
-        from comparing s^2 against 5 t^2 (sqrt5 is irrational, so the two
-        are never equal with s, t not both zero).
-        """
-        s = 2 * self.u + self.v
-        t = self.v
-        s_neg, s_pos = s < 0, s > 0
-        t_neg, t_pos = t < 0, t > 0
-        if not s_neg and not t_neg:
-            return 1 if (s_pos or t_pos) else 0
-        if not s_pos and not t_pos:
-            return -1
-        d = s * s - 5 * t * t
-        if d == 0:
-            raise InternalInvariantViolation("s^2 = 5 t^2 with rational s, t != 0")
-        if s_pos:
-            return 1 if d > 0 else -1
-        return -1 if d > 0 else 1
+        """Exact sign in {-1, 0, +1}; see sign_of."""
+        return sign_of(self.u, self.v)
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -254,7 +256,10 @@ def parse_qphi(text: str) -> QPhi:
         if not m or (not first and not m.group("sign")):
             raise DomainError(f"cannot parse Q(phi) literal: {text!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError as exc:
+            raise DomainError(f"zero denominator in Q(phi) literal: {text!r}") from exc
         if m.group("phi1") or m.group("phi2"):
             v += sign * coef
         else:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from zeckinv import (
-    DigitState,
     DomainError,
     EventuallyPeriodicBits,
     PHI,
@@ -18,7 +17,6 @@ from zeckinv import (
     expand,
     phi_pow,
     splice_check,
-    t_step,
     zeckendorf_from_phi,
 )
 
@@ -48,27 +46,6 @@ def test_bits_type_validation():
         EventuallyPeriodicBits("", "10")
     assert EventuallyPeriodicBits("", "010").render() == "|010"
     assert EventuallyPeriodicBits("1", "0").render() == "1|0"
-
-
-# --- t_step ------------------------------------------------------------------
-
-
-def test_t_step_examples():
-    d, s = t_step(DigitState(HALF))
-    assert d == 0 and s.x == QPhi(0, Fraction(1, 2))
-    d, s = t_step(s)
-    assert d == 1 and s.x == QPhi(Fraction(-1, 2), Fraction(1, 2))
-    d, s = t_step(s)
-    assert d == 0 and s.x == HALF  # closes the 3-cycle of 1/2
-    d, s = t_step(DigitState(QPhi(0, 0)))
-    assert d == 0 and s.x == QPhi(0, 0)
-
-
-def test_digit_state_validates():
-    with pytest.raises(DomainError):
-        DigitState(QPhi(1, 0))
-    with pytest.raises(DomainError):
-        DigitState(QPhi(Fraction(-1, 10), 0))
 
 
 # --- expand ------------------------------------------------------------------
@@ -102,6 +79,15 @@ def test_expand_round_trip_random():
         seen += 1
         bits = expand(x)
         assert eval_closed_form(bits) == x
+    # Orbit coordinates of these reach 4e16 to 1.4e19, past 2^63.  The
+    # expansion is unique, so the round trip also pins preperiod and period.
+    for x in (
+        phi_pow(-80),
+        phi_pow(-91),
+        Fraction(1, 3) + phi_pow(-90),
+        Fraction(2, 7) + phi_pow(-85),
+    ):
+        assert eval_closed_form(expand(x)) == x
 
 
 def test_expand_rationals_purely_periodic_sample():

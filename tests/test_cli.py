@@ -122,6 +122,23 @@ def test_verify_spec_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, "not json", b"\xff\xfe", "[" * 100000],
+    ids=["missing", "not-json", "not-utf8", "deep-nesting"],
+)
+def test_verify_spec_file_unreadable(tmp_path, capsys, content):
+    path = tmp_path / "p2.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    code = main(["verify", "2", "--n-range", "8..20", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_detects_wrong_content(tmp_path, capsys):
     data = to_json_dict(synthesize(2))
     data["tail"]["1"] = "00100"  # junction-safe but wrong value

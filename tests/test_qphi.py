@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeckinv import PHI, QPhi, fib, parse_qphi, phi_pow, sqrt5
 from zeckinv.errors import DomainError
+from zeckinv.qphi import sign_of
 
 
 def rand_qphi(rng, mag=1000):
@@ -52,6 +55,28 @@ def test_sign_examples():
     # Tight cases on both sides of zero.
     assert (PHI - Fraction(1618, 1000)).sign() == 1
     assert (PHI - Fraction(1619, 1000)).sign() == -1
+
+
+_BIG = 2**80
+_coords = st.one_of(
+    st.integers(-_BIG, _BIG),
+    st.fractions(min_value=-_BIG, max_value=_BIG, max_denominator=_BIG),
+)
+_pairs = st.one_of(
+    st.tuples(_coords, _coords),
+    # F_(n+1) - F_n*phi = (-1)^n phi^-n: tiny, sign settled by s^2 vs 5 v^2.
+    st.integers(1, 115).map(lambda n: (fib(n + 1), -fib(n))),
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_pairs, st.integers(1, _BIG))
+def test_sign_of_properties(pair, k):
+    u, v = pair
+    x = QPhi(u, v)
+    assert sign_of(u, v) == x.sign()
+    assert x.sign() * x.conj().sign() == (x.norm() > 0) - (x.norm() < 0)
+    assert sign_of(k * u, k * v) == sign_of(u, v)
 
 
 def test_floor_examples():
@@ -142,7 +167,7 @@ def test_str_and_parse_round_trip():
     assert parse_qphi("-phi") == -PHI
     assert parse_qphi("2*phi") == QPhi(0, 2)
     assert parse_qphi("1 + 1/3·phi") == QPhi(1, Fraction(1, 3))
-    for bad in ("", "one + phi", "1 +", "phi phi"):
+    for bad in ("", "one + phi", "1 +", "phi phi", "1/0 + phi"):
         with pytest.raises(DomainError):
             parse_qphi(bad)
 
