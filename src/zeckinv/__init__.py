@@ -35,6 +35,7 @@ from .pattern import (
     evaluate,
     from_json_dict,
     load_pattern,
+    matches_oracle,
     report_to_json_dict,
     save_pattern,
     splice_value,
@@ -106,6 +107,7 @@ __all__ = [
     "MismatchDetail",
     "synthesize",
     "evaluate",
+    "matches_oracle",
     "verify",
     "splice_value",
     "save_pattern",

@@ -36,10 +36,10 @@ from types import MappingProxyType
 
 from .bigfib import fib, fib_mod, fib_pair, mod_inverse, pisano
 from .basephi import EventuallyPeriodicBits, expand
-from .errors import DomainError, NotCoprime, SynthesisError
+from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
 from .inverse import inverse_closed, inverse_oracle
 from .qphi import QPhi, phi_pow, sqrt5
-from .zeckendorf import ZeckendorfRep, encode, normalize_index_one
+from .zeckendorf import ZeckendorfRep, decode, encode, normalize_index_one
 
 __all__ = [
     "ZClass",
@@ -48,6 +48,7 @@ __all__ = [
     "MismatchDetail",
     "synthesize",
     "evaluate",
+    "matches_oracle",
     "verify",
     "splice_value",
     "save_pattern",
@@ -354,8 +355,27 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     return ZeckendorfRep(indices, _validate=False)
 
 
+def matches_oracle(rep: ZeckendorfRep, a: int, n: int) -> bool:
+    """Whether ``rep`` is the Zeckendorf representation of (a^-1 mod F_n).
+
+    Zeckendorf representations are unique, so this holds exactly when
+    ``rep`` is canonical and decodes to the oracle's value; ``decode``
+    checks the first and computes the second.  The oracle shares only
+    ``fib`` with this check and nothing with the pattern code.
+    """
+    try:
+        value = decode(rep)
+    except InvalidRep:
+        return False
+    return value == inverse_oracle(a, n)
+
+
 def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
-    """Compare evaluate against the brute-force oracle on [n_lo, n_hi]."""
+    """Check evaluate against the brute-force oracle on [n_lo, n_hi].
+
+    A non-canonical representation counts as a mismatch.  The oracle value
+    is encoded only to report the first mismatch.
+    """
     if not spec.n0 <= n_lo <= n_hi:
         raise DomainError(
             f"need n0 <= n_lo <= n_hi, got n0={spec.n0}, n_lo={n_lo}, n_hi={n_hi}"
@@ -369,10 +389,10 @@ def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
             continue
         checked += 1
         got = evaluate(spec, n)
-        want = encode(inverse_oracle(spec.a, n))
-        if got != want:
+        if not matches_oracle(got, spec.a, n):
             mismatches += 1
             if first is None:
+                want = encode(inverse_oracle(spec.a, n))
                 first = MismatchDetail(n=n, expected=want.indices, got=got.indices)
     return VerificationReport(
         a=spec.a,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .bigfib import fib_pair
 from .errors import DomainError, InvalidRep
 
 __all__ = [
@@ -22,6 +21,18 @@ __all__ = [
     "to_bit_string",
     "from_bit_string",
 ]
+
+# decode sums blocks of _LEAF = 2**_LEAF_BITS positions.  Entry j of
+# _LEAF_PAIRS packs F_j into the low _FIELD bits and F_(j+1) above them; a
+# block's sum of F_j over distinct j < _LEAF is below F_(_LEAF + 1), so one
+# addition per digit accumulates both sums without carries between them.
+_LEAF_BITS = 8
+_LEAF = 1 << _LEAF_BITS
+_FIBS = [0, 1]
+while len(_FIBS) < _LEAF + 2:
+    _FIBS.append(_FIBS[-2] + _FIBS[-1])
+_FIELD = _FIBS[_LEAF + 1].bit_length()
+_LEAF_PAIRS = [_FIBS[j] | _FIBS[j + 1] << _FIELD for j in range(_LEAF)]
 
 
 def _check_indices(indices: tuple[int, ...], lowest: int) -> None:
@@ -103,19 +114,49 @@ def encode(n: int) -> ZeckendorfRep:
 
 
 def decode(rep: ZeckendorfRep) -> int:
-    """Sum of F_i over the representation's indices (validates first)."""
-    _check_indices(rep.indices, 2)
-    top = rep.indices[0]
-    fk, fk1 = fib_pair(top)
-    total = 0
-    k = top
-    remaining = set(rep.indices)
-    while remaining:
-        if k in remaining:
-            total += fk
-            remaining.discard(k)
-        k, fk, fk1 = k - 1, fk1 - fk, fk
-    return total
+    """Sum of F_i over the representation's indices (validates first).
+
+    Divide and conquer over blocks of digit positions.  A block of width w
+    based at position s carries the pair
+
+        (A, B) = (sum_j d_(s+j) F_j,  sum_j d_(s+j) F_(j+1)),   0 <= j < w,
+
+    relative to its base.  Leaves are blocks of _LEAF positions, summed from
+    a small table of packed pairs.  A block of width k (a power of two)
+    joins the block above it by the shift identity
+    F_(k+j) = F_k F_(j+1) + F_(k-1) F_j:
+
+        A = A_lo + F_k B_hi + F_(k-1) A_hi,
+        B = B_lo + F_(k+1) B_hi + F_k A_hi.
+
+    The root is based at position 0, so its A is the value.  The Fibonacci
+    numbers of the split widths are computed once per call by doubling, so
+    for top index n the cost is O(M(n) log n), M(n) the cost of multiplying
+    n-bit integers, plus one table addition per index; adding F_i position
+    by position would cost Theta(n^2).
+    """
+    indices = rep.indices
+    _check_indices(indices, 2)
+    sums = [0] * ((indices[0] >> _LEAF_BITS) + 1)
+    for i in indices:
+        sums[i >> _LEAF_BITS] += _LEAF_PAIRS[i & (_LEAF - 1)]
+    low = (1 << _FIELD) - 1
+    pairs = [(s & low, s >> _FIELD) for s in sums]
+    # (F_(k-1), F_k) for the width k of the blocks joined at this level.
+    f_km1, f_k = _FIBS[_LEAF - 1], _FIBS[_LEAF]
+    while len(pairs) > 1:
+        f_k1 = f_km1 + f_k
+        joined = [
+            (a0 + f_k * b1 + f_km1 * a1, b0 + f_k1 * b1 + f_k * a1)
+            for (a0, b0), (a1, b1) in zip(pairs[::2], pairs[1::2])
+        ]
+        if len(pairs) % 2:
+            joined.append(pairs[-1])
+        pairs = joined
+        if len(pairs) > 1:
+            # (F_(k-1), F_k) -> (F_(2k-1), F_(2k))
+            f_km1, f_k = f_km1 * f_km1 + f_k * f_k, f_k * (f_km1 + f_k1)
+    return pairs[0][0]
 
 
 def normalize_index_one(indices: Iterable[int]) -> ZeckendorfRep:

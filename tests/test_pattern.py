@@ -1,13 +1,18 @@
 """Tests for pattern synthesis, evaluation, verification and serialization."""
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeckinv import (
     DomainError,
@@ -115,6 +120,40 @@ def test_evaluate_matches_oracle_many(spec3, spec7):
                 spec.a,
                 n,
             )
+
+
+@functools.lru_cache(maxsize=None)
+def _spec(a):
+    return synthesize(a)
+
+
+# deadline=None: the first example for each a synthesizes its spec.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.one_of(st.integers(0, 3 * 10**4), st.integers(10**4, 3 * 10**4)),
+)
+def test_evaluate_matches_oracle_property(a, n):
+    spec = _spec(a)
+    n = max(n, spec.n0)
+    while not spec.is_admissible(n):
+        n += 1
+    assert verify(spec, n, n).mismatches == 0
+    # encode stays cross-checked against the pattern.
+    assert evaluate(spec, n) == encode(inverse_oracle(a, n))
+
+
+# A fixed seeded sample of a in (50, 300], each over two Pisano periods
+# from n0; the other oracle checks stop at a = 50.
+WIDE_SAMPLE = sorted(random.Random(2022).sample(range(51, 301), 16))
+
+
+@pytest.mark.parametrize("a", WIDE_SAMPLE)
+def test_verify_wide_sample(a):
+    spec = synthesize(a)
+    report = verify(spec, spec.n0, spec.n0 + 2 * spec.M)
+    assert report.checked > 0
+    assert report.mismatches == 0
 
 
 def test_evaluate_returns_valid_rep(spec7):
@@ -301,6 +340,25 @@ def test_verify_reports_content_damage(spec2):
     assert report.mismatches > 0
     assert report.first_mismatch is not None
     assert report.first_mismatch.n == 10  # first n = 1 (mod 3) in range
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        "10000",  # position 5 next to the z digit at position i0 = 6
+        "00110",  # F_3 + F_2 = F_4: the right value, but not canonical
+    ],
+)
+def test_verify_counts_non_canonical_rep_as_mismatch(spec2, word):
+    # Built directly: the loader's junction scan would refuse this spec.
+    assert spec2.tail[2] == "01000"
+    bad = dataclasses.replace(spec2, tail={1: spec2.tail[1], 2: word})
+    report = verify(bad, 8, 40)
+    assert report.checked == 22
+    assert report.mismatches == 11  # every n = 2 (mod 3) in range
+    assert report.first_mismatch.n == 8
+    assert report.first_mismatch.expected == (6, 4)
+    assert report.first_mismatch.got == evaluate(bad, 8).indices
 
 
 def test_verify_range_validation(spec2):

@@ -1,6 +1,8 @@
 """Tests for the Zeckendorf codec."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeckinv import (
     DomainError,
@@ -21,7 +23,10 @@ def naive_fib_list(count):
     return xs[:count]
 
 
-FIBS = naive_fib_list(120)
+# decode joins blocks of 256 positions at power-of-two widths: top indices
+# on and next to each split point, up to 2^13 + 1.
+SPLIT_TOPS = [2**k + d for k in range(1, 14) for d in (-1, 0, 1) if 2**k + d >= 2]
+FIBS = naive_fib_list(2**13 + 2)
 
 
 def test_encode_examples():
@@ -137,3 +142,39 @@ def test_rep_container_protocol():
     assert rep == ZeckendorfRep([9, 7, 5, 3])
     assert rep.value == 54
     assert hash(rep) == hash(ZeckendorfRep([9, 7, 5, 3]))
+
+
+@st.composite
+def index_sets(draw, lowest):
+    """Decreasing, pairwise non-consecutive index sets with indices >= lowest."""
+    top = draw(st.one_of(st.sampled_from(SPLIT_TOPS), st.integers(lowest, 2**13 + 1)))
+    width = top - 1 - lowest  # positions lowest .. top - 2 may hold a 1
+    mask = draw(st.integers(0, (1 << width) - 1)) if width > 0 else 0
+    mask &= ~(mask << 1)  # drop each 1 whose lower neighbour is a 1
+    lsb_first = bin(mask)[:1:-1]
+    below = [lowest + k for k, ch in enumerate(lsb_first) if ch == "1"]
+    return [top, *reversed(below)]
+
+
+@settings(derandomize=True, max_examples=100)
+@given(
+    st.one_of(
+        st.integers(1, 1 << 6000),  # mostly full width
+        st.integers(1, 6000).flatmap(lambda bits: st.integers(1, 1 << bits)),
+    )
+)
+def test_decode_inverts_encode(value):
+    assert decode(encode(value)) == value
+
+
+@settings(derandomize=True, max_examples=200)
+@given(index_sets(lowest=2))
+def test_decode_is_the_fibonacci_sum(indices):
+    assert decode(ZeckendorfRep(indices)) == sum(FIBS[i] for i in indices)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(index_sets(lowest=1))
+def test_normalize_index_one_keeps_the_value(indices):
+    # F_1 = 1 counts in the plain sum.
+    assert decode(normalize_index_one(indices)) == sum(FIBS[i] for i in indices)
