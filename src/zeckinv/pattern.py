@@ -31,6 +31,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -93,6 +94,9 @@ class PatternSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", MappingProxyType(dict(self.z)))
         object.__setattr__(self, "tail", MappingProxyType(dict(self.tail)))
+        # Residue -> offsets of the 1-digits in its period, filled by
+        # evaluate; derived data, so outside __eq__ and the JSON form.
+        object.__setattr__(self, "_ones", {})
 
     def is_admissible(self, n: int) -> bool:
         return (n % self.M) in self.z
@@ -317,9 +321,15 @@ def _extract_tails(
 def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     """Zeckendorf representation of (a^-1 mod F_n) by pure digit assembly.
 
-    Never touches F_n or the inverse value: the high digits are read off
-    the sliding z-period, the low digits from the tail table.  Work and
-    allocations are proportional to the number of 1-digits plus a constant.
+    Never touches F_n or the inverse value.  Position i in [i0, n-1]
+    carries z_(n-i), so a 1-digit at offset o of the residue's period
+    (length L_r) puts the arithmetic progression n-1-o, n-1-o-L_r, ...
+    into the output.  The full period blocks are one ``range`` per
+    1-offset, interleaved block by block by ``zip`` into one list, so the
+    per-index work runs in C; the partial top block and the tail word
+    follow.  Each residue's 1-offsets are found on its first evaluation
+    and kept with the spec, so after that the cost is one C-level pass,
+    O(number of indices), plus O(i0) for the tail word.
     """
     if n < spec.n0:
         raise DomainError(f"need n >= {spec.n0}, got {n}")
@@ -330,19 +340,21 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
 
     per = zc.zbits.period
     lr = len(per)
-    ones = [o for o in range(lr) if per[o] == "1"]
+    ones = spec._ones.get(r)
+    if ones is None:
+        ones = spec._ones[r] = [o for o, ch in enumerate(per) if ch == "1"]
     word = spec.tail[n % spec.tail_period]
 
-    # Position i in [i0, n-1] carries z_{n-i}; writing j = n - i, digit j
-    # is per[(j-1) mod lr].  Emit indices in decreasing order, one period
-    # block at a time.
-    indices: list[int] = []
-    zcount = n - spec.i0
-    nblocks, rem = divmod(zcount, lr)
-    for k in range(nblocks):
-        base = n - k * lr - 1
-        indices.extend(base - o for o in ones)
-    base = n - nblocks * lr - 1
+    # Writing j = n - i, digit j is per[(j-1) mod lr]; indices are emitted
+    # in decreasing order.  Full block k covers positions n-1-k*lr down to
+    # n-(k+1)*lr, and the partial block below them starts at ``base``.
+    # The ranges go to zip as a list: unpacking a generator grows a tuple
+    # that CPython, once freed, parks in its tuple free lists, one per call.
+    nblocks, rem = divmod(n - spec.i0, lr)
+    base = n - 1 - nblocks * lr
+    indices = list(
+        chain.from_iterable(zip(*[range(n - 1 - o, base - o, -lr) for o in ones]))
+    )
     indices.extend(base - o for o in ones if o < rem)
     # Tail word: character j corresponds to position i0 - 1 - j.
     top = spec.i0 - 1
@@ -373,8 +385,11 @@ def matches_oracle(rep: ZeckendorfRep, a: int, n: int) -> bool:
 def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
     """Check evaluate against the brute-force oracle on [n_lo, n_hi].
 
-    A non-canonical representation counts as a mismatch.  The oracle value
-    is encoded only to report the first mismatch.
+    A non-canonical representation counts as a mismatch, and so does an
+    ``n`` whose tail word uses position 1 in a way that cannot be
+    canonicalized (only a hand-built spec can carry one); such a mismatch
+    reports ``got = ()``.  The oracle value is encoded only to report the
+    first mismatch.
     """
     if not spec.n0 <= n_lo <= n_hi:
         raise DomainError(
@@ -388,12 +403,16 @@ def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
         if math.gcd(spec.a, fib_mod(n, spec.a)) != 1:
             continue
         checked += 1
-        got = evaluate(spec, n)
-        if not matches_oracle(got, spec.a, n):
+        try:
+            rep = evaluate(spec, n)
+        except InvalidRep:
+            rep = None
+        if rep is None or not matches_oracle(rep, spec.a, n):
             mismatches += 1
             if first is None:
                 want = encode(inverse_oracle(spec.a, n))
-                first = MismatchDetail(n=n, expected=want.indices, got=got.indices)
+                got = () if rep is None else rep.indices
+                first = MismatchDetail(n=n, expected=want.indices, got=got)
     return VerificationReport(
         a=spec.a,
         n_lo=n_lo,
@@ -580,7 +599,9 @@ def load_pattern(path: str) -> PatternSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integer literals longer
+        # than the interpreter's int/str conversion limit.
         raise DomainError(f"cannot read pattern file {path!r}: {exc}") from exc
     return from_json_dict(data)
 

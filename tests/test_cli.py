@@ -124,8 +124,8 @@ def test_verify_spec_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "not json", b"\xff\xfe", "[" * 100000],
-    ids=["missing", "not-json", "not-utf8", "deep-nesting"],
+    [None, "not json", b"\xff\xfe", "[" * 100000, '{"a": 1' + "0" * 5000 + "}"],
+    ids=["missing", "not-json", "not-utf8", "deep-nesting", "int-too-long"],
 )
 def test_verify_spec_file_unreadable(tmp_path, capsys, content):
     path = tmp_path / "p2.json"

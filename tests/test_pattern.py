@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from zeckinv import (
     DomainError,
+    InvalidRep,
     NotCoprime,
     ZeckendorfRep,
     digit_at,
@@ -34,6 +36,7 @@ from zeckinv import (
     to_json_dict,
     verify,
 )
+from zeckinv.cli import _a2_expected_indices
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +157,62 @@ def test_verify_wide_sample(a):
     report = verify(spec, spec.n0, spec.n0 + 2 * spec.M)
     assert report.checked > 0
     assert report.mismatches == 0
+
+
+def test_evaluate_block_edges():
+    # Per admissible residue: the smallest n with only a partial top block
+    # (n - i0 < L_r), and n with (n - i0) % L_r in {0, 1, L_r - 1} behind
+    # at least one full block.  When L_r divides M that remainder is fixed
+    # along a residue class, so most residues reach only one of these.
+    seen = set()
+    for a in (3, 7, 50, 120):
+        spec = _spec(a)
+        for r, zc in spec.z.items():
+            lr = len(zc.zbits.period)
+            ns = set()
+            first = spec.n0 + (r - spec.n0) % spec.M
+            if first - spec.i0 < lr:
+                ns.add(first)
+                seen.add("partial")
+            lo = max(spec.n0, spec.i0 + lr)
+            start = lo + (r - lo) % spec.M
+            edges = {0: "0", 1: "1", lr - 1: "L-1"}
+            for n in range(start, start + math.lcm(spec.M, lr), spec.M):
+                edge = edges.pop((n - spec.i0) % lr, None)
+                if edge is not None:
+                    ns.add(n)
+                    seen.add(edge)
+            for n in sorted(ns):
+                assert evaluate(spec, n) == encode(inverse_oracle(a, n)), (a, n)
+    assert seen == {"partial", "0", "1", "L-1"}
+
+
+@pytest.mark.parametrize("n", [10**6, 10**6 + 1])
+def test_evaluate_a2_closed_form_at_a_million(spec2, n):
+    # One n per admissible class of a = 2, about 3.3*10^5 indices each.
+    assert evaluate(spec2, n).indices == tuple(_a2_expected_indices(n))
+
+
+def test_evaluate_leaves_spec_equal_and_json_unchanged():
+    spec = synthesize(7)
+    before = to_json_dict(spec)
+    for n in (spec.n0, 101, 10**4 + 1, 101):
+        evaluate(spec, n)
+    assert spec == synthesize(7)
+    assert to_json_dict(spec) == before
+
+
+def test_evaluate_keeps_no_memory_per_call(spec7):
+    # A tuple grown from a generator and then freed is parked in CPython's
+    # tuple free lists (up to 2000 per size) instead of being reused, so
+    # one such tuple per call adds up to megabytes of peak RSS.
+    ns = [n for n in range(20000, 20400) if spec7.is_admissible(n)]
+    for n in ns:
+        evaluate(spec7, n)
+    before = sys.getallocatedblocks()
+    for n in ns:
+        evaluate(spec7, n)
+    assert sys.getallocatedblocks() - before < len(ns) // 10
 
 
 def test_evaluate_returns_valid_rep(spec7):
@@ -361,6 +420,20 @@ def test_verify_counts_non_canonical_rep_as_mismatch(spec2, word):
     assert report.first_mismatch.got == evaluate(bad, 8).indices
 
 
+def test_verify_counts_unnormalizable_tail_as_mismatch(spec2):
+    # A tail word with 1s at positions 2 and 1 cannot be canonicalized:
+    # evaluate raises InvalidRep, which verify counts with got = ().
+    bad = dataclasses.replace(spec2, tail={1: "10100", 2: "00011"})
+    with pytest.raises(InvalidRep):
+        evaluate(bad, 8)
+    report = verify(bad, 8, 40)
+    assert report.checked == 22
+    assert report.mismatches == 11
+    assert report.first_mismatch.n == 8
+    assert report.first_mismatch.expected == (6, 4)
+    assert report.first_mismatch.got == ()
+
+
 def test_verify_range_validation(spec2):
     with pytest.raises(DomainError):
         verify(spec2, 3, 100)  # below n0
@@ -431,3 +504,54 @@ def test_from_json_rejects_multiple_of_pisano_period(spec2):
     data["tail"] = {str(c): data["tail"][str(c % 3)] for c in (1, 2, 4, 5)}
     with pytest.raises(DomainError, match="Pisano"):
         from_json_dict(data)
+
+
+# --- from_json_dict fuzzing -------------------------------------------------------
+
+_ODD_VALUES = st.sampled_from(
+    [None, True, False, 0, 1, -1, -(10**30), 2**64, 10**100, 0.5, 3.0, "", "1",
+     "010", [], [1], {}, {"b": 1}]
+)
+_ODD_KEYS = st.sampled_from(["01", " 1", "+1", "-1", "1.0", "x", "", "9" * 40])
+
+
+@st.composite
+def _mutated_pattern(draw):
+    """A real spec's JSON dict with 1-4 mutations: a key dropped, a value of
+    the wrong type or size, a key made non-canonical, or a table or word cut
+    short.  Each mutation lands in the top level, ``z``, one entry of ``z``
+    or ``tail``."""
+    data = to_json_dict(_spec(draw(st.sampled_from([2, 7]))))
+    for _ in range(draw(st.integers(1, 4))):
+        z, tail = data.get("z"), data.get("tail")
+        tables = [data] + [t for t in (z, tail) if isinstance(t, dict)]
+        if isinstance(z, dict):
+            tables += [entry for entry in z.values() if isinstance(entry, dict)]
+        table = draw(st.sampled_from([t for t in tables if t]))
+        key = draw(st.sampled_from(sorted(table)))
+        action = draw(st.sampled_from(["drop", "value", "int", "rekey", "truncate"]))
+        if action == "drop":
+            del table[key]
+        elif action == "value":
+            table[key] = draw(_ODD_VALUES)
+        elif action == "int":
+            table[key] = draw(st.integers(-(10**40), 10**40))
+        elif action == "rekey":
+            table[draw(_ODD_KEYS)] = table.pop(key)
+        elif isinstance(table[key], str):
+            table[key] = table[key][: draw(st.integers(0, len(table[key])))]
+        elif isinstance(table[key], dict):
+            items = list(table[key].items())
+            table[key] = dict(items[: draw(st.integers(0, len(items)))])
+    return data
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_mutated_pattern())
+def test_from_json_dict_fuzz_raises_only_domain_error(data):
+    t0 = time.perf_counter()
+    try:
+        from_json_dict(data)
+    except DomainError:
+        pass
+    assert time.perf_counter() - t0 < 0.5
