@@ -35,7 +35,7 @@ from itertools import chain
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .bigfib import fib, fib_mod, fib_pair, mod_inverse, pisano
+from .bigfib import fib_mod, fib_pair, mod_inverse, pisano
 from .basephi import EventuallyPeriodicBits, expand
 from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
 from .inverse import inverse_closed, inverse_oracle
@@ -166,53 +166,103 @@ def _exact_remainder(a: int, n: int, i0: int, period: str) -> int:
 
 
 def _junction_scan(spec: "PatternSpec") -> None:
-    """Assert the assembled word (3 z-periods + tail) never contains "11".
+    """Refuse a spec whose assembled digits contain "11" for some n.
 
-    Representatives cover every combination of tail class mod P and
-    z-phase, so this is exhaustive for all n >= the scan base.
+    For admissible n >= n0, positions n-1 down to i0 carry z_1 ... z_(n-i0),
+    a prefix of the purely periodic word per^inf of the residue, and
+    positions i0-1 down to 1 carry the tail word of n's class.  A "11" can
+    only lie
+    * inside the z part: any two neighbours of per^inf are neighbours in
+      per + per, where ``EventuallyPeriodicBits`` already refuses "11";
+    * inside a tail word: each word is checked once;
+    * at the junction, positions i0 and i0-1: the z digit
+      z_(n-i0) = per[(n - i0 - 1) % L_r] and the word's first character.
+    The junction pair depends only on n mod P and n mod L_r, and L_r divides
+    ell, so one window of lcm(P, ell) consecutive n covers every case, one
+    digit pair per n.
     """
+    for c, word in spec.tail.items():
+        if "11" in word:
+            raise SynthesisError(f"tail word for a={spec.a}, class {c} contains '11'")
     width = math.lcm(spec.tail_period, spec.ell)
-    base = max(spec.n0, spec.i0 + 3 * spec.ell)
-    for n in range(base, base + width):
-        r = n % spec.M
-        zc = spec.z.get(r)
+    for n in range(spec.n0, spec.n0 + width):
+        zc = spec.z.get(n % spec.M)
         if zc is None:
             continue
         per = zc.zbits.period
-        lr = len(per)
-        # digit at position i (descending from i0 + 3*lr - 1 to i0) is
-        # z_{n-i}, i.e. per[(n - i - 1) % lr]
-        zword = "".join(
-            per[(n - i - 1) % lr] for i in range(spec.i0 + 3 * lr - 1, spec.i0 - 1, -1)
-        )
-        word = zword + spec.tail[n % spec.tail_period]
-        if "11" in word:
+        if (
+            per[(n - spec.i0 - 1) % len(per)] == "1"
+            and spec.tail[n % spec.tail_period].startswith("1")
+        ):
             raise SynthesisError(
                 f"assembled digits contain '11' for a={spec.a}, n≡{n % spec.tail_period}"
             )
 
 
+_Cycle = tuple[str, list[tuple[int, int]], int]  # see _digit_cycles
+
+
+def _digit_cycles(a: int, wanted: set[int]) -> dict[int, _Cycle]:
+    """Walk the digit-orbit cycle of b/a once for every b in ``wanted``.
+
+    Maps each b to (per, states, k): the digit period of the cycle as
+    expanded from its first b, the orbit states (p, q) of (p + q*phi)/a
+    in that order, and the position k of (b, 0) in them.  So b/a has the
+    period per[k:] + per[:k] and its j-th orbit state is
+    states[(k + j) % L].  ``expand`` runs once per cycle; the walk
+    (p, q) -> (q - a*d, p + q) from (b, 0) must close after L steps.
+    """
+    cycles: dict[int, _Cycle] = {}
+    for b in sorted(wanted):
+        if b in cycles:
+            continue
+        x = Fraction(b, a)
+        bits = expand(x)
+        if bits.preperiod:
+            raise SynthesisError(
+                f"digit expansion of {x} is not purely periodic: {bits.render()}"
+            )
+        per = bits.period
+        states: list[tuple[int, int]] = []
+        p, q = b, 0
+        for ch in per:
+            if q == 0 and p in wanted:
+                cycles[p] = (per, states, len(states))
+            states.append((p, q))
+            d = 1 if ch == "1" else 0
+            p, q = q - a * d, p + q
+        if (p, q) != (b, 0):
+            raise SynthesisError(f"digit orbit of {x} does not close for a={a}")
+    return cycles
+
+
 def synthesize(a: int) -> PatternSpec:
-    """Construct the full PatternSpec for a fixed a >= 2."""
+    """Construct the full PatternSpec for a fixed a >= 2.
+
+    Residues whose b_r share a digit-orbit cycle share its expansion up to
+    rotation, so ``expand`` runs once per cycle, not once per residue: the
+    cycle is walked once with the integer digit step, and every state
+    (b', 0) on it starts the expansion of b'/a (see ``_digit_cycles``).
+    The tail values of every residue are read off the same walk.
+    """
     if a < 2:
         raise DomainError(f"need a >= 2, got {a}")
 
     m_per = pisano(a).pi
-    z: dict[int, ZClass] = {}
+    b_of: dict[int, int] = {}
     inadmissible = set()
     for r in range(m_per):
         f_r = fib_mod(r, a)
         if math.gcd(a, f_r) != 1:
             inadmissible.add(r)
             continue
-        b_r = (-mod_inverse(f_r, a)) % a
-        x_r = Fraction(b_r, a)
-        zbits = expand(x_r)
-        if zbits.preperiod:
-            raise SynthesisError(
-                f"digit expansion of {x_r} is not purely periodic: {zbits.render()}"
-            )
-        z[r] = ZClass(b_r, x_r, zbits)
+        b_of[r] = (-mod_inverse(f_r, a)) % a
+
+    cycles = _digit_cycles(a, set(b_of.values()))
+    z: dict[int, ZClass] = {}
+    for r, b in b_of.items():
+        per, _, k = cycles[b]
+        z[r] = ZClass(b, Fraction(b, a), EventuallyPeriodicBits("", per[k:] + per[:k]))
 
     ell = math.lcm(*(len(zc.zbits.period) for zc in z.values()))
     i0 = ell + 3
@@ -223,7 +273,7 @@ def synthesize(a: int) -> PatternSpec:
         k, f_km1, f_k = k + 1, f_k, f_km1 + f_k
     n0 = max(i0 + 1, k)
 
-    tails, tail_period = _extract_tails(a, m_per, i0, n0, z)
+    tails, tail_period = _extract_tails(a, m_per, i0, n0, z, cycles)
 
     spec = PatternSpec(
         a=a,
@@ -246,14 +296,14 @@ def _extract_tails(
     i0: int,
     n0: int,
     z: dict[int, ZClass],
+    cycles: dict[int, _Cycle],
 ) -> tuple[dict[int, str], int]:
     """Build the tail table and its period P = M * lcm(rho_r) exactly.
 
-    For each admissible residue r the digit orbit of x_r = b_r/a is walked
-    from the stored period bits, (p, q) -> (q - a*d, p + q) from (b_r, 0),
-    and must close after L_r steps.  Along n = n_start + t*M the orbit
-    index k = (n - i0) mod L_r repeats with period L_r / gcd(L_r, M), and
-    R(n) = (1 + p_k F_i0 + q_k F_(i0+1)) / a on each visited state (see
+    For each admissible residue r the orbit states of x_r = b_r/a are read
+    off the walk of its cycle in ``cycles``.  Along n = n_start + t*M the
+    orbit index k = (n - i0) mod L_r repeats with period L_r / gcd(L_r, M),
+    and R(n) = (1 + p_k F_i0 + q_k F_(i0+1)) / a on each visited state (see
     the module docstring); rho_r is the minimal period of that finite
     sequence.  Each value must be integral and lie in [0, F_(i0+1) - 1),
     and the first one per residue is cross-checked against the big-integer
@@ -265,22 +315,13 @@ def _extract_tails(
     starts: dict[int, int] = {}
     words: dict[int, list[str]] = {}
     for r, zc in z.items():
-        per = zc.zbits.period
-        lr = len(per)
-        orbit = []
-        p, q = zc.b, 0
-        for ch in per:
-            orbit.append((p, q))
-            d = 1 if ch == "1" else 0
-            p, q = q - a * d, p + q
-        if (p, q) != (zc.b, 0):
-            raise SynthesisError(f"digit orbit of {zc.x} does not close for a={a}")
-
+        _, states, offset = cycles[zc.b]
+        lr = len(states)
         n_start = n0 + ((r - n0) % m_per)
         values = []
         for t in range(lr // math.gcd(lr, m_per)):
             n = n_start + t * m_per
-            p, q = orbit[(n - i0) % lr]
+            p, q = states[(offset + n - i0) % lr]
             value, rest = divmod(1 + p * f_i0 + q * f_i1, a)
             if rest:
                 raise SynthesisError(f"remainder is not integral for a={a}, n={n}")
@@ -289,7 +330,7 @@ def _extract_tails(
                     f"remainder {value} out of range for a={a}, n={n}"
                 )
             values.append(value)
-        if values[0] != _exact_remainder(a, n_start, i0, per):
+        if values[0] != _exact_remainder(a, n_start, i0, zc.zbits.period):
             raise SynthesisError(
                 f"orbit remainder disagrees with exact remainder at a={a}, n={n_start}"
             )
@@ -480,112 +521,76 @@ def _json_key(key: object) -> int:
 
 
 def from_json_dict(data: dict) -> PatternSpec:
-    """Rebuild a PatternSpec and re-validate every structural invariant.
+    """Load a spec, which must be exactly the canonical spec of its ``a``.
 
-    Field types and table sizes are checked before any loop whose length
-    comes from a field value, so a small file is rejected quickly.
+    Cheap checks come first: field types, canonical table keys, table
+    sizes, and M == pi(a) by one walk that the file's own ``z`` table
+    bounds.  Then ``synthesize(a)`` runs and the data must equal its JSON
+    form; otherwise the first differing field, and for ``z`` and ``tail``
+    the first differing key, is named.  So a file loads if and only if it
+    is the canonical spec, and loading costs one synthesis.
     """
     try:
-        a, m_per, ell, i0, n0, tail_period = (
+        a, m_per, _, _, _, tail_period = (
             _json_int(data[name], name)
             for name in ("a", "M", "ell", "i0", "n0", "tail_period")
         )
-        z: dict[int, ZClass] = {}
+        residues = set()
         for key, entry in data["z"].items():
-            r = _json_key(key)
-            b = _json_int(entry["b"], f"b of residue {key}")
-            bits = entry["period_bits"]
-            if not isinstance(bits, str):
-                raise DomainError(f"period_bits of residue {key} must be a string")
-            if not 0 <= r < m_per or not 1 <= b < a:
-                raise DomainError(f"residue entry out of range: r={r}, b={b}")
-            z[r] = ZClass(b, Fraction(b, a), EventuallyPeriodicBits("", bits))
-        tail = {_json_key(c): word for c, word in data["tail"].items()}
+            residues.add(_json_key(key))
+            _json_int(entry["b"], f"b of residue {key}")
+        tail = [_json_key(c) for c in data["tail"].keys()]
     except DomainError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed pattern data: {exc}") from exc
 
-    if a < 2 or m_per < 1 or not z:
+    if a < 2 or m_per < 1 or not residues:
         raise DomainError("need a >= 2, M >= 1 and at least one admissible residue")
     if (
         tail_period < m_per
         or tail_period % m_per
-        or len(tail) != tail_period // m_per * len(z)
+        or len(tail) != tail_period // m_per * len(residues)
     ):
         raise DomainError("tail_period does not match M and the tail table size")
+    _check_residues(a, m_per, residues)
 
-    spec = PatternSpec(
-        a=a,
-        M=m_per,
-        ell=ell,
-        i0=i0,
-        n0=n0,
-        tail_period=tail_period,
-        z=z,
-        tail=tail,
-        inadmissible=_inadmissible_residues(a, m_per, z),
-    )
-    _validate_spec(spec)
+    spec = synthesize(a)
+    want = to_json_dict(spec)
+    if data != want:
+        name = next(k for k in [*want, *data] if _differs(data, want, k))
+        where = f"field {name!r}"
+        if name in ("z", "tail"):
+            got, expected = data[name], want[name]
+            key = min(
+                (k for k in got.keys() | expected.keys() if _differs(got, expected, k)),
+                key=int,
+            )
+            where += f" at key {key!r}"
+        raise DomainError(f"pattern for a={a} differs from the synthesized spec in {where}")
     return spec
 
 
-def _inadmissible_residues(a: int, m_per: int, z: dict[int, ZClass]) -> frozenset[int]:
-    """The residues r in [0, M) with gcd(a, F_r) > 1, read off ``z``.
+def _differs(got: Mapping, want: Mapping, key: str) -> bool:
+    return key not in got or key not in want or got[key] != want[key]
 
-    One walk over (F_r, F_(r+1)) mod a checks that ``z`` holds exactly the
-    admissible residues and that M is the Pisano period of a.  A claimed M
-    far too large stops the walk at the first admissible residue missing
-    from ``z``.
+
+def _check_residues(a: int, m_per: int, residues: set[int]) -> None:
+    """Check that ``residues`` are exactly the r in [0, M) with
+    gcd(a, F_r) = 1 and that M is the Pisano period of a.
+
+    One walk over (F_r, F_(r+1)) mod a; a claimed M far too large stops
+    the walk at the first admissible residue missing from ``residues``.
     """
-    inadmissible = []
     f, g = 0, 1
     for r in range(m_per):
         if r and (f, g) == (0, 1):
             raise DomainError(f"M={m_per} is not the Pisano period of a={a}")
-        if (math.gcd(a, f) == 1) != (r in z):
+        if (math.gcd(a, f) == 1) != (r in residues):
             raise DomainError(f"admissibility of residue {r} mislabeled")
-        if r not in z:
-            inadmissible.append(r)
         f, g = g, (f + g) % a
     if (f, g) != (0, 1):
         raise DomainError(f"M={m_per} is not the Pisano period of a={a}")
-    return frozenset(inadmissible)
-
-
-def _validate_spec(spec: PatternSpec) -> None:
-    if spec.ell != math.lcm(*(len(zc.zbits.period) for zc in spec.z.values())):
-        raise DomainError("ell is not the lcm of the z-period lengths")
-    if spec.i0 != spec.ell + 3 or spec.n0 < spec.i0 + 1:
-        raise DomainError("i0 / n0 inconsistent with ell")
-    for r, zc in spec.z.items():
-        if (zc.b * fib_mod(r, spec.a) + 1) % spec.a:
-            raise DomainError(f"b for residue {r} fails b*F_r == -1 (mod a)")
-        derived = expand(Fraction(zc.b, spec.a))
-        if derived.preperiod or derived.period != zc.zbits.period:
-            raise DomainError(f"digit period for residue {r} does not match b/a")
-    bound = fib(spec.i0 + 1) - 1
-    expected_classes = {
-        c for c in range(spec.tail_period) if (c % spec.M) in spec.z
-    }
-    if set(spec.tail) != expected_classes:
-        raise DomainError("tail table does not cover the admissible classes")
-    for c, word in spec.tail.items():
-        if (
-            not isinstance(word, str)
-            or len(word) != spec.i0 - 1
-            or any(ch not in "01" for ch in word)
-        ):
-            raise DomainError(f"bad tail word for class {c}")
-        value = sum(
-            fib(spec.i0 - 1 - j) for j, ch in enumerate(word) if ch == "1"
-        )
-        if not 0 <= value < bound:
-            raise DomainError(f"tail word for class {c} decodes out of range")
-    try:
-        _junction_scan(spec)
-    except SynthesisError as exc:
-        raise DomainError(str(exc)) from exc
 
 
 def save_pattern(spec: PatternSpec, path: str) -> None:

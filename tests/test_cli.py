@@ -1,9 +1,11 @@
 """End-to-end tests of the command line interface (golden outputs, exit codes)."""
 
+import dataclasses
 import json
 
 import pytest
 
+import zeckinv.cli
 from zeckinv import from_json_dict, load_pattern, save_pattern, synthesize, to_json_dict
 from zeckinv.cli import main
 
@@ -139,14 +141,35 @@ def test_verify_spec_file_unreadable(tmp_path, capsys, content):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_verify_detects_wrong_content(tmp_path, capsys):
-    data = to_json_dict(synthesize(2))
-    data["tail"]["1"] = "00100"  # junction-safe but wrong value
-    path = tmp_path / "bad.json"
-    save_pattern(from_json_dict(data), str(path))
-    code, out = run(capsys, "verify", "2", "--n-range", "8..40", "--spec", str(path))
+def test_verify_detects_wrong_content(tmp_path, capsys, monkeypatch):
+    good = synthesize(2)
+    # Junction-safe but the wrong value; a file never loads with it, so
+    # hand the damaged spec to verify through synthesis.
+    bad = dataclasses.replace(good, tail={1: "00100", 2: good.tail[2]})
+    monkeypatch.setattr(zeckinv.cli, "synthesize", lambda a: bad)
+    code, out = run(capsys, "verify", "2", "--n-range", "8..40")
     assert code == 4
     assert "first mismatch at n=10" in out
+    # The same data in a pattern file is refused on load.
+    path = tmp_path / "bad.json"
+    save_pattern(bad, str(path))
+    code = main(["verify", "2", "--n-range", "8..40", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "field 'tail'" in captured.err
+
+
+def test_verify_refuses_file_with_wrong_n0(tmp_path, capsys):
+    data = to_json_dict(synthesize(2))
+    data["n0"] = 10**40
+    path = tmp_path / "n0.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", "2", "--n-range", "8..20", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "field 'n0'" in captured.err
 
 
 def test_paper_check(capsys):

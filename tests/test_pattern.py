@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zeckinv.pattern
 from zeckinv import (
     DomainError,
     InvalidRep,
     NotCoprime,
+    SynthesisError,
     ZeckendorfRep,
     digit_at,
     encode,
@@ -37,6 +39,7 @@ from zeckinv import (
     verify,
 )
 from zeckinv.cli import _a2_expected_indices
+from zeckinv.pattern import _junction_scan
 
 
 @pytest.fixture(scope="module")
@@ -276,13 +279,44 @@ def test_tail_words_well_formed():
 
 
 def test_z_periods_match_digit_expansions():
-    for a in range(2, 30):
+    # One expand per residue, independent of the per-cycle walk.
+    for a in [*range(2, 30), *sorted(random.Random(300).sample(range(30, 301), 12))]:
         spec = synthesize(a)
         for r, zc in spec.z.items():
             bits = expand(Fraction(zc.b, a))
             assert bits.preperiod == ""
             assert bits.period == zc.zbits.period
             assert (zc.b * fib(r) + 1) % a == 0
+
+
+@pytest.mark.parametrize("a, cycles", [(30, 4), (109, 12), (149, 15)])
+def test_synthesize_expands_once_per_cycle(monkeypatch, a, cycles):
+    calls = []
+
+    def counting_expand(x):
+        calls.append(x)
+        return expand(x)
+
+    monkeypatch.setattr(zeckinv.pattern, "expand", counting_expand)
+    spec = synthesize(a)
+    periods = [zc.zbits.period for zc in spec.z.values()]
+    rotation_classes = {min(p[k:] + p[:k] for k in range(len(p))) for p in periods}
+    assert len(spec.z) > cycles
+    assert len(calls) == len(rotation_classes) == cycles
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        {1: "10100", 2: "10000"},  # class 2 has z digit 1 at position i0
+        {1: "10100", 2: "00110"},  # "11" inside the word
+    ],
+    ids=["junction", "inner"],
+)
+def test_junction_scan_refuses_adjacent_ones(spec2, tail):
+    assert spec2.z[2].zbits.period[(8 - spec2.i0 - 1) % 3] == "1"
+    with pytest.raises(SynthesisError, match="11"):
+        _junction_scan(dataclasses.replace(spec2, tail=tail))
 
 
 # --- the digit-stream view -------------------------------------------------------
@@ -388,13 +422,34 @@ def test_from_json_rejects_tampered_tail(spec2):
         from_json_dict(data)
 
 
-def test_verify_reports_content_damage(spec2):
-    # A junction-safe word with the wrong value is structurally valid:
-    # the validator accepts it, verification pinpoints it.
+def test_from_json_rejects_wrong_n0(spec2):
+    with pytest.raises(DomainError, match="'n0'"):
+        from_json_dict(tampered(spec2, n0=10**40))
+
+
+def test_from_json_rejects_wrong_tail_value(spec2):
     data = to_json_dict(spec2)
-    assert data["tail"]["1"] == "10100"
-    data["tail"]["1"] = "00100"
-    bad = from_json_dict(data)
+    data["tail"]["1"] = "00100"  # well-formed and junction-safe, but 2, not 7
+    with pytest.raises(DomainError, match="'tail' at key '1'"):
+        from_json_dict(data)
+    data = to_json_dict(spec2)
+    del data["tail"]["1"]
+    data["tail"]["4"] = None  # the table keeps its size
+    with pytest.raises(DomainError, match="'tail' at key '1'"):
+        from_json_dict(data)
+
+
+def test_from_json_rejects_extra_field(spec2):
+    for extra in ("x", None):
+        with pytest.raises(DomainError, match="'comment'"):
+            from_json_dict(tampered(spec2, comment=extra))
+
+
+def test_verify_reports_content_damage(spec2):
+    # A junction-safe word with the wrong value: no file carrying it loads,
+    # so the spec is built directly and verification pinpoints it.
+    assert spec2.tail[1] == "10100"
+    bad = dataclasses.replace(spec2, tail={1: "00100", 2: spec2.tail[2]})
     report = verify(bad, 8, 40)
     assert report.mismatches > 0
     assert report.first_mismatch is not None
@@ -448,6 +503,17 @@ def test_canonical_json_matches_golden_hashes():
     golden = json.loads(golden_path.read_text())
     assert sorted(map(int, golden)) == list(range(2, 101))
     for a in range(2, 101):
+        text = json.dumps(to_json_dict(synthesize(a)), sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == golden[str(a)], a
+
+
+def test_canonical_json_matches_golden_hashes_beyond_100():
+    # The same hashes for random.Random(6).sample(range(101, 301), 20).
+    golden_path = Path(__file__).parent / "data" / "pattern_sha256_101_300.json"
+    golden = json.loads(golden_path.read_text())
+    sample = sorted(random.Random(6).sample(range(101, 301), 20))
+    assert sorted(map(int, golden)) == sample
+    for a in sample:
         text = json.dumps(to_json_dict(synthesize(a)), sort_keys=True, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == golden[str(a)], a
 
