@@ -8,19 +8,21 @@ into two periodic layers:
   M = pi(a) — so the top of the representation is a fixed word sliding
   with n;
 * low digits: positions i0-1 down to 1 form a tail word that depends
-  only on n modulo a period P with M | P.
+  only on r = n mod M.
 
-The tail word spells the remainder
+Every digit period of x_r has length M (see ``_digit_cycles``), so the
+spec's ``ell`` and ``tail_period`` are both M and i0 = M + 3.  The tail
+word spells the remainder
 R(n) = (a^-1 mod F_n) - sum_{i=i0}^{n-1} z_{n-i} F_i, which has a closed
 form.  With Tr(u + v*phi) = 2u + v, F_i = Tr(phi^i / sqrt5),
 a^-1 mod F_n = (b_r F_n + 1)/a and b_r/a = sum_j z_j phi^-j,
 
     R(n) = 1/a + Tr(phi^i0 * T^(n-i0)(x_r) / sqrt5)
-         = (1 + p_k F_i0 + q_k F_(i0+1)) / a,   k = (n - i0) mod L_r,
+         = (1 + p_k F_i0 + q_k F_(i0+1)) / a,   k = (r - i0) mod M,
 
 where T is the digit map and T^k(x_r) = (p_k + q_k*phi)/a is the k-th
-state of the digit orbit of x_r, of length L_r.  So every tail value is
-read off the orbit exactly.
+state of the digit orbit of x_r.  So every tail value is read off the
+orbit exactly, one per residue.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from types import MappingProxyType
 from .bigfib import fib_mod, fib_pair, mod_inverse, pisano
 from .basephi import EventuallyPeriodicBits, expand
 from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
-from .inverse import inverse_closed, inverse_oracle
+from .inverse import inverse_oracle
 from .qphi import QPhi, phi_pow, sqrt5
 from .zeckendorf import ZeckendorfRep, decode, encode, normalize_index_one
 
@@ -76,17 +78,17 @@ class PatternSpec:
     """The complete periodic description of the representations for one a.
 
     ``z`` maps each admissible residue r mod M (gcd(a, F_r) = 1) to its
-    ZClass; residues of [0, M) absent from ``z`` are exactly the members
-    of ``inadmissible``.  ``tail`` maps each admissible residue class
-    c mod tail_period to the low-digit word over positions i0-1 down to 1.
+    ZClass, whose digit period has length M; residues of [0, M) absent
+    from ``z`` are exactly the members of ``inadmissible``.  ``tail`` maps
+    the same residues to the low-digit word over positions i0-1 down to 1,
+    and i0 = M + 3.  ``ell`` (the lcm of the digit period lengths) and
+    ``tail_period`` are therefore both M; they are read-only properties.
     """
 
     a: int
     M: int
-    ell: int
     i0: int
     n0: int
-    tail_period: int
     z: Mapping[int, ZClass]
     tail: Mapping[int, str]
     inadmissible: frozenset[int] = field(default_factory=frozenset)
@@ -98,6 +100,14 @@ class PatternSpec:
         # evaluate; derived data, so outside __eq__ and the JSON form.
         object.__setattr__(self, "_ones", {})
 
+    @property
+    def ell(self) -> int:
+        return self.M
+
+    @property
+    def tail_period(self) -> int:
+        return self.M
+
     def is_admissible(self, n: int) -> bool:
         return (n % self.M) in self.z
 
@@ -107,10 +117,8 @@ class PatternSpec:
         return (
             self.a == other.a
             and self.M == other.M
-            and self.ell == other.ell
             and self.i0 == other.i0
             and self.n0 == other.n0
-            and self.tail_period == other.tail_period
             and dict(self.z) == dict(other.z)
             and dict(self.tail) == dict(other.tail)
             and self.inadmissible == other.inadmissible
@@ -154,7 +162,7 @@ def _greedy_word(value: int, i0: int) -> str:
 
 def _exact_remainder(a: int, n: int, i0: int, period: str) -> int:
     """R(n) by direct big-integer computation (cross-check path)."""
-    value = inverse_closed(a, n).value
+    value = inverse_oracle(a, n)
     lr = len(period)
     f_i, f_i1 = fib_pair(i0)
     explained = 0
@@ -169,48 +177,47 @@ def _junction_scan(spec: "PatternSpec") -> None:
     """Refuse a spec whose assembled digits contain "11" for some n.
 
     For admissible n >= n0, positions n-1 down to i0 carry z_1 ... z_(n-i0),
-    a prefix of the purely periodic word per^inf of the residue, and
-    positions i0-1 down to 1 carry the tail word of n's class.  A "11" can
-    only lie
+    a prefix of the purely periodic word per^inf of the residue r = n mod M,
+    and positions i0-1 down to 1 carry the tail word of r.  A "11" can only
+    lie
     * inside the z part: any two neighbours of per^inf are neighbours in
       per + per, where ``EventuallyPeriodicBits`` already refuses "11";
     * inside a tail word: each word is checked once;
     * at the junction, positions i0 and i0-1: the z digit
-      z_(n-i0) = per[(n - i0 - 1) % L_r] and the word's first character.
-    The junction pair depends only on n mod P and n mod L_r, and L_r divides
-    ell, so one window of lcm(P, ell) consecutive n covers every case, one
-    digit pair per n.
+      z_(n-i0) = per[(r - i0 - 1) % M], since per has length M, and the
+      word's first character.
+    So one pass over the residues covers every n.
     """
-    for c, word in spec.tail.items():
+    for r, zc in spec.z.items():
+        word = spec.tail[r]
         if "11" in word:
-            raise SynthesisError(f"tail word for a={spec.a}, class {c} contains '11'")
-    width = math.lcm(spec.tail_period, spec.ell)
-    for n in range(spec.n0, spec.n0 + width):
-        zc = spec.z.get(n % spec.M)
-        if zc is None:
-            continue
-        per = zc.zbits.period
-        if (
-            per[(n - spec.i0 - 1) % len(per)] == "1"
-            and spec.tail[n % spec.tail_period].startswith("1")
-        ):
+            raise SynthesisError(f"tail word for a={spec.a}, class {r} contains '11'")
+        if zc.zbits.period[(r - spec.i0 - 1) % spec.M] == "1" and word.startswith("1"):
             raise SynthesisError(
-                f"assembled digits contain '11' for a={spec.a}, n≡{n % spec.tail_period}"
+                f"assembled digits contain '11' for a={spec.a}, n≡{r}"
             )
 
 
 _Cycle = tuple[str, list[tuple[int, int]], int]  # see _digit_cycles
 
 
-def _digit_cycles(a: int, wanted: set[int]) -> dict[int, _Cycle]:
+def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
     """Walk the digit-orbit cycle of b/a once for every b in ``wanted``.
 
     Maps each b to (per, states, k): the digit period of the cycle as
     expanded from its first b, the orbit states (p, q) of (p + q*phi)/a
     in that order, and the position k of (b, 0) in them.  So b/a has the
     period per[k:] + per[:k] and its j-th orbit state is
-    states[(k + j) % L].  ``expand`` runs once per cycle; the walk
+    states[(k + j) % M].  ``expand`` runs once per cycle; the walk
     (p, q) -> (q - a*d, p + q) from (b, 0) must close after L steps.
+
+    Every period length L is the Pisano period M = ``m_per``, or synthesis
+    fails.  M | L always holds: mod a the step is the Fibonacci step
+    (p, q) -> (q, p + q), so after k steps the state is b*(F_(k-1), F_k)
+    mod a; b = -F_r^-1 mod a is a unit, so the state is back at (b, 0)
+    only if (F_k, F_(k+1)) = (0, 1) mod a, that is only if M | k.  That
+    L <= M is not proven here: it rests on the check below, which held for
+    every cycle of every a in [2, 1000] (``scripts/period_sweep.py``).
     """
     cycles: dict[int, _Cycle] = {}
     for b in sorted(wanted):
@@ -223,6 +230,11 @@ def _digit_cycles(a: int, wanted: set[int]) -> dict[int, _Cycle]:
                 f"digit expansion of {x} is not purely periodic: {bits.render()}"
             )
         per = bits.period
+        if len(per) != m_per:
+            raise SynthesisError(
+                f"digit period of b/a = {b}/{a} has length {len(per)}, "
+                f"not the Pisano period M = {m_per}, for a={a}"
+            )
         states: list[tuple[int, int]] = []
         p, q = b, 0
         for ch in per:
@@ -243,7 +255,11 @@ def synthesize(a: int) -> PatternSpec:
     rotation, so ``expand`` runs once per cycle, not once per residue: the
     cycle is walked once with the integer digit step, and every state
     (b', 0) on it starts the expansion of b'/a (see ``_digit_cycles``).
-    The tail values of every residue are read off the same walk.
+    Each residue r's tail value is R(n) = (1 + p_k F_i0 + q_k F_(i0+1)) / a
+    at the orbit state k = (r - i0) mod M of the same walk (see the module
+    docstring).  It must be integral and lie in [0, F_(i0+1) - 1), and it
+    is cross-checked against the big-integer oracle at the first n >= n0
+    in r's class.
     """
     if a < 2:
         raise DomainError(f"need a >= 2, got {a}")
@@ -258,14 +274,8 @@ def synthesize(a: int) -> PatternSpec:
             continue
         b_of[r] = (-mod_inverse(f_r, a)) % a
 
-    cycles = _digit_cycles(a, set(b_of.values()))
-    z: dict[int, ZClass] = {}
-    for r, b in b_of.items():
-        per, _, k = cycles[b]
-        z[r] = ZClass(b, Fraction(b, a), EventuallyPeriodicBits("", per[k:] + per[:k]))
-
-    ell = math.lcm(*(len(zc.zbits.period) for zc in z.values()))
-    i0 = ell + 3
+    cycles = _digit_cycles(a, m_per, set(b_of.values()))
+    i0 = m_per + 3
     # Smallest k with phi^k >= 2a, decided exactly:
     # phi^k - 2a = (F_{k-1} - 2a) + F_k * phi.
     k, f_km1, f_k = 1, 0, 1
@@ -273,86 +283,43 @@ def synthesize(a: int) -> PatternSpec:
         k, f_km1, f_k = k + 1, f_k, f_km1 + f_k
     n0 = max(i0 + 1, k)
 
-    tails, tail_period = _extract_tails(a, m_per, i0, n0, z, cycles)
-
-    spec = PatternSpec(
-        a=a,
-        M=m_per,
-        ell=ell,
-        i0=i0,
-        n0=n0,
-        tail_period=tail_period,
-        z=z,
-        tail=tails,
-        inadmissible=frozenset(inadmissible),
-    )
-    _junction_scan(spec)
-    return spec
-
-
-def _extract_tails(
-    a: int,
-    m_per: int,
-    i0: int,
-    n0: int,
-    z: dict[int, ZClass],
-    cycles: dict[int, _Cycle],
-) -> tuple[dict[int, str], int]:
-    """Build the tail table and its period P = M * lcm(rho_r) exactly.
-
-    For each admissible residue r the orbit states of x_r = b_r/a are read
-    off the walk of its cycle in ``cycles``.  Along n = n_start + t*M the
-    orbit index k = (n - i0) mod L_r repeats with period L_r / gcd(L_r, M),
-    and R(n) = (1 + p_k F_i0 + q_k F_(i0+1)) / a on each visited state (see
-    the module docstring); rho_r is the minimal period of that finite
-    sequence.  Each value must be integral and lie in [0, F_(i0+1) - 1),
-    and the first one per residue is cross-checked against the big-integer
-    inverse.
-    """
     f_i0, f_i1 = fib_pair(i0)
     bound = f_i1 - 1  # sum_{i < i0} F_i
     top = 0
-    starts: dict[int, int] = {}
-    words: dict[int, list[str]] = {}
-    for r, zc in z.items():
-        _, states, offset = cycles[zc.b]
-        lr = len(states)
-        n_start = n0 + ((r - n0) % m_per)
-        values = []
-        for t in range(lr // math.gcd(lr, m_per)):
-            n = n_start + t * m_per
-            p, q = states[(offset + n - i0) % lr]
-            value, rest = divmod(1 + p * f_i0 + q * f_i1, a)
-            if rest:
-                raise SynthesisError(f"remainder is not integral for a={a}, n={n}")
-            if not 0 <= value < bound:
-                raise SynthesisError(
-                    f"remainder {value} out of range for a={a}, n={n}"
-                )
-            values.append(value)
-        if values[0] != _exact_remainder(a, n_start, i0, zc.zbits.period):
+    z: dict[int, ZClass] = {}
+    tail: dict[int, str] = {}
+    for r, b in b_of.items():
+        per, states, offset = cycles[b]
+        per = per[offset:] + per[:offset]
+        z[r] = ZClass(b, Fraction(b, a), EventuallyPeriodicBits("", per))
+        p, q = states[(offset + r - i0) % m_per]
+        value, rest = divmod(1 + p * f_i0 + q * f_i1, a)
+        n = n0 + (r - n0) % m_per
+        if rest or not 0 <= value < bound:
             raise SynthesisError(
-                f"orbit remainder disagrees with exact remainder at a={a}, n={n_start}"
+                f"remainder is not an integer in [0, F_(i0+1) - 1) for a={a}, n={n}"
             )
-        count = len(values)
-        rho = next(
-            d for d in range(1, count + 1)
-            if count % d == 0 and values[:d] * (count // d) == values
-        )
-        top = max(top, *values)
-        starts[r] = n_start
-        words[r] = [_greedy_word(v, i0) for v in values[:rho]]
+        if value != _exact_remainder(a, n, i0, per):
+            raise SynthesisError(
+                f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
+            )
+        top = max(top, value)
+        tail[r] = _greedy_word(value, i0)
 
     logger.debug(
         "tail bound F_i0 %s for a=%d", "exceeded" if top >= f_i0 else "held", a
     )
-
-    period = m_per * math.lcm(*(len(w) for w in words.values()))
-    tails: dict[int, str] = {}
-    for r, w in words.items():
-        for t in range(period // m_per):
-            tails[(starts[r] + t * m_per) % period] = w[t % len(w)]
-    return tails, period
+    spec = PatternSpec(
+        a=a,
+        M=m_per,
+        i0=i0,
+        n0=n0,
+        z=z,
+        tail=tail,
+        inadmissible=frozenset(inadmissible),
+    )
+    _junction_scan(spec)
+    return spec
 
 
 # --------------------------------------------------------------------------
@@ -364,7 +331,7 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
 
     Never touches F_n or the inverse value.  Position i in [i0, n-1]
     carries z_(n-i), so a 1-digit at offset o of the residue's period
-    (length L_r) puts the arithmetic progression n-1-o, n-1-o-L_r, ...
+    (length L_r = M) puts the arithmetic progression n-1-o, n-1-o-L_r, ...
     into the output.  The full period blocks are one ``range`` per
     1-offset, interleaved block by block by ``zip`` into one list, so the
     per-index work runs in C; the partial top block and the tail word
@@ -384,7 +351,7 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     ones = spec._ones.get(r)
     if ones is None:
         ones = spec._ones[r] = [o for o, ch in enumerate(per) if ch == "1"]
-    word = spec.tail[n % spec.tail_period]
+    word = spec.tail[r]
 
     # Writing j = n - i, digit j is per[(j-1) mod lr]; indices are emitted
     # in decreasing order.  Full block k covers positions n-1-k*lr down to
@@ -547,11 +514,7 @@ def from_json_dict(data: dict) -> PatternSpec:
 
     if a < 2 or m_per < 1 or not residues:
         raise DomainError("need a >= 2, M >= 1 and at least one admissible residue")
-    if (
-        tail_period < m_per
-        or tail_period % m_per
-        or len(tail) != tail_period // m_per * len(residues)
-    ):
+    if tail_period != m_per or len(tail) != len(residues):
         raise DomainError("tail_period does not match M and the tail table size")
     _check_residues(a, m_per, residues)
 

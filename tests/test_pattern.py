@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import zeckinv.pattern
 from zeckinv import (
     DomainError,
+    EventuallyPeriodicBits,
     InvalidRep,
     NotCoprime,
     SynthesisError,
@@ -305,6 +306,28 @@ def test_synthesize_expands_once_per_cycle(monkeypatch, a, cycles):
     assert len(calls) == len(rotation_classes) == cycles
 
 
+@pytest.mark.parametrize("a", [2, 7])
+def test_synthesize_refuses_period_other_than_pisano(monkeypatch, a):
+    # A valid expansion whose period is one digit longer than M = pi(a).
+    def long_expand(x):
+        return EventuallyPeriodicBits("", expand(x).period + "0")
+
+    monkeypatch.setattr(zeckinv.pattern, "expand", long_expand)
+    m = pisano(a).pi
+    with pytest.raises(SynthesisError, match=f"length {m + 1}, not .* M = {m}, for a={a}$"):
+        synthesize(a)
+
+
+def test_pattern_spec_derives_ell_and_tail_period():
+    names = [f.name for f in dataclasses.fields(zeckinv.PatternSpec)]
+    assert names == ["a", "M", "i0", "n0", "z", "tail", "inadmissible"]
+    for a in (2, 3, 30):
+        spec = _spec(a)
+        assert spec.ell == spec.tail_period == spec.M
+        assert spec.i0 == spec.M + 3
+        assert set(spec.tail) == set(spec.z)
+
+
 @pytest.mark.parametrize(
     "tail",
     [
@@ -385,7 +408,7 @@ def test_from_json_rejects_structural_damage(spec2):
     with pytest.raises(DomainError):
         from_json_dict(tampered(spec2, i0=7))
     with pytest.raises(DomainError):
-        from_json_dict(tampered(spec2, tail_period=4))  # not a multiple of M
+        from_json_dict(tampered(spec2, tail_period=4))  # not M
     data = to_json_dict(spec2)
     del data["M"]
     with pytest.raises(DomainError):
@@ -569,6 +592,20 @@ def test_from_json_rejects_multiple_of_pisano_period(spec2):
     data["z"] = {str(r): data["z"][str(r % 3)] for r in (1, 2, 4, 5)}
     data["tail"] = {str(c): data["tail"][str(c % 3)] for c in (1, 2, 4, 5)}
     with pytest.raises(DomainError, match="Pisano"):
+        from_json_dict(data)
+
+
+def test_from_json_refuses_tail_period_other_than_m_before_synthesis(spec2, monkeypatch):
+    # The real z and tail tables of a = 2 repeated over tail_period = 6:
+    # M is right and the tail table has tail_period / M entries per residue.
+    def no_synthesis(a):
+        raise AssertionError("synthesize ran")
+
+    monkeypatch.setattr(zeckinv.pattern, "synthesize", no_synthesis)
+    data = to_json_dict(spec2)
+    data["tail_period"] = 6
+    data["tail"] = {str(c): data["tail"][str(c % 3)] for c in (1, 2, 4, 5)}
+    with pytest.raises(DomainError, match="tail_period"):
         from_json_dict(data)
 
 

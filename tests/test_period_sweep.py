@@ -1,0 +1,40 @@
+"""Checks on tests/data/period_sweep.json, written by scripts/period_sweep.py."""
+
+import importlib.util
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+import zeckinv.pattern
+from zeckinv import expand
+
+ROOT = Path(__file__).resolve().parents[1]
+ROWS = {r["a"]: r for r in json.loads((ROOT / "tests" / "data" / "period_sweep.json").read_text())}
+
+_loader = importlib.util.spec_from_file_location("period_sweep", ROOT / "scripts" / "period_sweep.py")
+period_sweep = importlib.util.module_from_spec(_loader)
+_loader.loader.exec_module(period_sweep)
+
+
+def test_sweep_covers_every_a_without_mismatch():
+    assert sorted(ROWS) == list(range(2, 1001))
+    for a, r in ROWS.items():
+        assert r["checked"] > 0 and r["mismatches"] == 0, a
+        assert 1 <= r["cycles"] <= r["z"] < r["M"], a
+
+
+@pytest.mark.parametrize("a", sorted(random.Random(7).sample(range(2, 301), 24)))
+def test_sweep_rows_recompute(monkeypatch, a):
+    # The cycle count is also checked against the number of expand calls,
+    # one per cycle, which does not depend on the script's walk.
+    calls = []
+
+    def counting_expand(x):
+        calls.append(x)
+        return expand(x)
+
+    monkeypatch.setattr(zeckinv.pattern, "expand", counting_expand)
+    assert period_sweep.row(a) == ROWS[a]
+    assert len(calls) == ROWS[a]["cycles"]
