@@ -49,7 +49,7 @@ class EventuallyPeriodicBits:
         if not self.period:
             raise DomainError("period must be nonempty")
         for word in (self.preperiod, self.period):
-            if any(c not in "01" for c in word):
+            if word.strip("01"):
                 raise DomainError(f"not a bit word: {word!r}")
         # Junction and wrap-around are covered by scanning pre + per + per.
         if "11" in self.preperiod + self.period + self.period:
@@ -73,12 +73,13 @@ class EventuallyPeriodicBits:
 
 
 def _primitive_root(word: str) -> str:
-    """Shortest word whose repetition gives ``word``."""
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word[:d] * (n // d) == word:
-            return word[:d]
-    return word
+    """Shortest word whose repetition gives ``word``.
+
+    Its length is the least p >= 1 at which ``word`` occurs in
+    ``word + word``, the smallest rotation that maps ``word`` to itself;
+    that p divides len(word).
+    """
+    return word[: (word + word).find(word, 1)]
 
 
 def _canonical_bits(pre: str, per: str) -> EventuallyPeriodicBits:

@@ -31,13 +31,14 @@ import json
 import logging
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .bigfib import fib_mod, fib_pair, mod_inverse, pisano
+from .bigfib import fib_mod, mod_inverse, pisano
 from .basephi import EventuallyPeriodicBits, expand
 from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
 from .inverse import inverse_oracle
@@ -147,30 +148,51 @@ class VerificationReport:
 # synthesis
 
 
-def _greedy_word(value: int, i0: int) -> str:
-    """Greedy digit word of ``value`` over positions i0-1 down to 1."""
-    if value == 0:
-        return "0" * (i0 - 1)
-    indices = set(encode(value).indices)
-    if max(indices) > i0 - 1:
+def _fib_table(top: int) -> list[int]:
+    """[F_0, F_1, ..., F_top], by addition."""
+    fibs = [0, 1]
+    for _ in range(top - 1):
+        fibs.append(fibs[-2] + fibs[-1])
+    return fibs
+
+
+def _greedy_word(value: int, i0: int, fibs: list[int]) -> str:
+    """Greedy digit word of ``value`` over positions i0-1 down to 1.
+
+    ``fibs`` is F_0, F_1, ... (at least up to F_i0).  Each step takes the
+    largest index k with F_k <= rest by bisection, so the work is one step
+    per 1-digit; for rest >= 1 that k is >= 2, as F_1 = F_2 = 1.
+    """
+    k = bisect_right(fibs, value) - 1
+    if k >= i0:
         raise SynthesisError(
-            f"tail value {value} needs position {max(indices)} "
-            f"but the word stops at {i0 - 1}"
+            f"tail value {value} needs position {k} but the word stops at {i0 - 1}"
         )
-    return "".join("1" if i in indices else "0" for i in range(i0 - 1, 0, -1))
+    word = bytearray(b"0" * (i0 - 1))
+    rest = value
+    while rest:
+        word[i0 - 1 - k] = 49  # "1"; character j is position i0 - 1 - j
+        rest -= fibs[k]
+        k = bisect_right(fibs, rest, 0, k) - 1
+    return word.decode()
 
 
-def _exact_remainder(a: int, n: int, i0: int, period: str) -> int:
-    """R(n) by direct big-integer computation (cross-check path)."""
+# Maps the digit characters "0"/"1" to the bytes 0/1, for itertools.compress.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _exact_remainder(a: int, n: int, i0: int, period: str, fibs: list[int]) -> int:
+    """R(n) by direct big-integer computation (cross-check path).
+
+    Position i in [i0, n-1] carries period digit n-1-i, and n - i0 <= M
+    (see ``synthesize``), so the explained part is the sum of
+    F_(n-1-o) over the 1-offsets o < n - i0 of the period, taken in C by
+    ``compress`` over the reversed table slice F_(n-1), ..., F_i0.  The
+    oracle value comes from ``inverse_oracle`` and does not read ``fibs``.
+    """
     value = inverse_oracle(a, n)
-    lr = len(period)
-    f_i, f_i1 = fib_pair(i0)
-    explained = 0
-    for i in range(i0, n):
-        if period[(n - i - 1) % lr] == "1":
-            explained += f_i
-        f_i, f_i1 = f_i1, f_i + f_i1
-    return value - explained
+    bits = bytes(period[: n - i0], "ascii").translate(_BIT_BYTES)
+    return value - sum(compress(fibs[n - 1 : i0 - 1 : -1], bits))
 
 
 def _junction_scan(spec: "PatternSpec") -> None:
@@ -277,13 +299,18 @@ def synthesize(a: int) -> PatternSpec:
     cycles = _digit_cycles(a, m_per, set(b_of.values()))
     i0 = m_per + 3
     # Smallest k with phi^k >= 2a, decided exactly:
-    # phi^k - 2a = (F_{k-1} - 2a) + F_k * phi.
+    # phi^k - 2a = (F_{k-1} - 2a) + F_k * phi.  Here k <= i0, because
+    # phi^i0 > F_(M+3) >= 2 F_(M+1) > 2a (F_(M+1) = 1 mod a and F_(M+1) > 1),
+    # so n0 = i0 + 1 and every n < n0 + M has n - i0 <= M.
     k, f_km1, f_k = 1, 0, 1
     while QPhi(f_km1 - 2 * a, f_k).sign() < 0:
         k, f_km1, f_k = k + 1, f_k, f_km1 + f_k
     n0 = max(i0 + 1, k)
 
-    f_i0, f_i1 = fib_pair(i0)
+    # One table for the tail values, their words and the cross-check,
+    # which reads F_(n-1) for n up to n0 + M - 1.
+    fibs = _fib_table(n0 + m_per - 1)
+    f_i0, f_i1 = fibs[i0], fibs[i0 + 1]
     bound = f_i1 - 1  # sum_{i < i0} F_i
     top = 0
     z: dict[int, ZClass] = {}
@@ -299,12 +326,12 @@ def synthesize(a: int) -> PatternSpec:
             raise SynthesisError(
                 f"remainder is not an integer in [0, F_(i0+1) - 1) for a={a}, n={n}"
             )
-        if value != _exact_remainder(a, n, i0, per):
+        if value != _exact_remainder(a, n, i0, per, fibs):
             raise SynthesisError(
                 f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
             )
         top = max(top, value)
-        tail[r] = _greedy_word(value, i0)
+        tail[r] = _greedy_word(value, i0, fibs)
 
     logger.debug(
         "tail bound F_i0 %s for a=%d", "exceeded" if top >= f_i0 else "held", a
@@ -491,14 +518,15 @@ def from_json_dict(data: dict) -> PatternSpec:
     """Load a spec, which must be exactly the canonical spec of its ``a``.
 
     Cheap checks come first: field types, canonical table keys, table
-    sizes, and M == pi(a) by one walk that the file's own ``z`` table
-    bounds.  Then ``synthesize(a)`` runs and the data must equal its JSON
-    form; otherwise the first differing field, and for ``z`` and ``tail``
-    the first differing key, is named.  So a file loads if and only if it
-    is the canonical spec, and loading costs one synthesis.
+    sizes, M == pi(a) by one walk that the file's own ``z`` table bounds,
+    and ell == tail_period == M, i0 == M + 3.  Then ``synthesize(a)`` runs
+    and the data must equal its JSON form; otherwise the first differing
+    field, and for ``z`` and ``tail`` the first differing key, is named.
+    So a file loads if and only if it is the canonical spec, and loading
+    costs one synthesis.
     """
     try:
-        a, m_per, _, _, _, tail_period = (
+        a, m_per, ell, i0, _, tail_period = (
             _json_int(data[name], name)
             for name in ("a", "M", "ell", "i0", "n0", "tail_period")
         )
@@ -517,6 +545,10 @@ def from_json_dict(data: dict) -> PatternSpec:
     if tail_period != m_per or len(tail) != len(residues):
         raise DomainError("tail_period does not match M and the tail table size")
     _check_residues(a, m_per, residues)
+    if ell != m_per:
+        raise DomainError(f"ell={ell} is not M={m_per}")
+    if i0 != m_per + 3:
+        raise DomainError(f"i0={i0} is not M + 3 = {m_per + 3}")
 
     spec = synthesize(a)
     want = to_json_dict(spec)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeckinv import (
     DomainError,
@@ -19,6 +21,7 @@ from zeckinv import (
     splice_check,
     zeckendorf_from_phi,
 )
+from zeckinv.basephi import _primitive_root
 
 HALF = QPhi(Fraction(1, 2), 0)
 
@@ -46,6 +49,39 @@ def test_bits_type_validation():
         EventuallyPeriodicBits("", "10")
     assert EventuallyPeriodicBits("", "010").render() == "|010"
     assert EventuallyPeriodicBits("1", "0").render() == "1|0"
+
+
+@pytest.mark.parametrize("word", ["0x0", "01 0", "0\n1", "010\u00b9", "0١0"])
+def test_bits_refuse_non_bit_characters_inside_a_word(word):
+    with pytest.raises(DomainError, match="not a bit word"):
+        EventuallyPeriodicBits("", word)
+    with pytest.raises(DomainError, match="not a bit word"):
+        EventuallyPeriodicBits(word, "0")
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.text("01", min_size=1), st.text("01"), st.characters(blacklist_characters="01"))
+def test_bits_refuse_any_non_bit_character(head, rest, ch):
+    with pytest.raises(DomainError, match="not a bit word"):
+        EventuallyPeriodicBits("", head + ch + rest)
+
+
+def _brute_primitive_root(word):
+    n = len(word)
+    units = (word[:d] for d in range(1, n + 1) if n % d == 0)
+    return next((u for u in units if u * (n // len(u)) == word), word)
+
+
+_BIT_WORDS = st.one_of(
+    st.text("01", max_size=40),
+    st.builds(lambda u, k: u * k, st.text("01", min_size=1, max_size=12), st.integers(1, 6)),
+)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(_BIT_WORDS)
+def test_primitive_root_is_the_shortest_repeated_unit(word):
+    assert _primitive_root(word) == _brute_primitive_root(word)
 
 
 # --- expand ------------------------------------------------------------------

@@ -40,7 +40,7 @@ from zeckinv import (
     verify,
 )
 from zeckinv.cli import _a2_expected_indices
-from zeckinv.pattern import _junction_scan
+from zeckinv.pattern import _fib_table, _greedy_word, _junction_scan
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +316,61 @@ def test_synthesize_refuses_period_other_than_pisano(monkeypatch, a):
     m = pisano(a).pi
     with pytest.raises(SynthesisError, match=f"length {m + 1}, not .* M = {m}, for a={a}$"):
         synthesize(a)
+
+
+def test_synthesize_cross_checks_tail_values_against_the_oracle(monkeypatch):
+    # An oracle off by one: every orbit tail value now disagrees with it.
+    def off_by_one(a, n):
+        return inverse_oracle(a, n) + 1
+
+    monkeypatch.setattr(zeckinv.pattern, "inverse_oracle", off_by_one)
+    with pytest.raises(SynthesisError, match=r"exact remainder at a=7, n=\d+$"):
+        synthesize(7)
+
+
+def _encoded_word(value, i0):
+    """The tail word spelled from ``encode``, or None past position i0 - 1."""
+    indices = set(encode(value).indices) if value else set()
+    if indices and max(indices) >= i0:
+        return None
+    return "".join("1" if i in indices else "0" for i in range(i0 - 1, 0, -1))
+
+
+@st.composite
+def _word_values(draw):
+    """(i0, value) with value in [0, F_(i0+1) - 1), weighted to 0, F_k - 1, F_k."""
+    i0 = draw(st.integers(4, 160))
+    k = draw(st.integers(2, i0))
+    value = draw(
+        st.one_of(
+            st.just(0),
+            st.just(fib(k) - 1),
+            st.just(fib(k)),
+            st.integers(0, fib(i0 + 1) - 2),
+        )
+    )
+    return i0, value
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_word_values())
+def test_greedy_word_matches_encode(case):
+    i0, value = case
+    fibs = _fib_table(2 * i0)
+    want = _encoded_word(value, i0)
+    if want is None:
+        with pytest.raises(SynthesisError, match=f"needs position {i0}"):
+            _greedy_word(value, i0, fibs)
+    else:
+        assert _greedy_word(value, i0, fibs) == want
+
+
+@pytest.mark.parametrize("i0", [4, 6, 19, 163])
+def test_greedy_word_refuses_f_i0(i0):
+    fibs = _fib_table(2 * i0)
+    assert _greedy_word(fib(i0) - 1, i0, fibs) == _encoded_word(fib(i0) - 1, i0)
+    with pytest.raises(SynthesisError, match=f"tail value {fib(i0)} needs position {i0}"):
+        _greedy_word(fib(i0), i0, fibs)
 
 
 def test_pattern_spec_derives_ell_and_tail_period():
@@ -607,6 +662,16 @@ def test_from_json_refuses_tail_period_other_than_m_before_synthesis(spec2, monk
     data["tail"] = {str(c): data["tail"][str(c % 3)] for c in (1, 2, 4, 5)}
     with pytest.raises(DomainError, match="tail_period"):
         from_json_dict(data)
+
+
+@pytest.mark.parametrize("name, value", [("ell", 6), ("i0", 7)])
+def test_from_json_refuses_wrong_ell_or_i0_before_synthesis(spec2, monkeypatch, name, value):
+    def no_synthesis(a):
+        raise AssertionError("synthesize ran")
+
+    monkeypatch.setattr(zeckinv.pattern, "synthesize", no_synthesis)
+    with pytest.raises(DomainError, match=f"^{name}={value} is not M"):
+        from_json_dict(tampered(spec2, **{name: value}))
 
 
 # --- from_json_dict fuzzing -------------------------------------------------------
