@@ -22,7 +22,8 @@ a^-1 mod F_n = (b_r F_n + 1)/a and b_r/a = sum_j z_j phi^-j,
 
 where T is the digit map and T^k(x_r) = (p_k + q_k*phi)/a is the k-th
 state of the digit orbit of x_r.  So every tail value is read off the
-orbit exactly, one per residue.
+orbit exactly, one per residue, and synthesis runs on integer walks
+alone: the digits, the orbit states and the residues b_r.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from itertools import chain, compress
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .bigfib import fib_mod, mod_inverse, pisano
-from .basephi import EventuallyPeriodicBits, expand
+from .bigfib import fib_mod, pisano
+from .basephi import EventuallyPeriodicBits
 from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
 from .inverse import inverse_oracle
-from .qphi import QPhi, phi_pow, sqrt5
+from .qphi import QPhi, phi_pow, sign_of, sqrt5
 from .zeckendorf import ZeckendorfRep, decode, encode, normalize_index_one
 
 __all__ = [
@@ -220,63 +221,58 @@ def _junction_scan(spec: "PatternSpec") -> None:
             )
 
 
-_Cycle = tuple[str, list[tuple[int, int]], int]  # see _digit_cycles
+_Cycle = tuple[bytearray, list[tuple[int, int]], int]  # see _digit_cycles
 
 
 def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
     """Walk the digit-orbit cycle of b/a once for every b in ``wanted``.
 
     Maps each b to (per, states, k): the digit period of the cycle as
-    expanded from its first b, the orbit states (p, q) of (p + q*phi)/a
-    in that order, and the position k of (b, 0) in them.  So b/a has the
-    period per[k:] + per[:k] and its j-th orbit state is
-    states[(k + j) % M].  ``expand`` runs once per cycle; the walk
-    (p, q) -> (q - a*d, p + q) from (b, 0) must close after L steps.
+    walked from its first b, the characters "0"/"1" as bytes, the orbit
+    states (p, q) of (p + q*phi)/a in that order, and the position k of
+    (b, 0) in them.  So b/a has the period per[k:] + per[:k] and its j-th
+    orbit state is states[(k + j) % M].  Each step is the digit map of
+    ``expand`` with den = a (b/a is reduced, as b is a unit mod a): the
+    digit d is 1 exactly when (q - a) + (p + q)*phi >= 0, and the next
+    state is (q - a*d, p + q).
 
-    Every period length L is the Pisano period M = ``m_per``, or synthesis
-    fails.  M | L always holds: mod a the step is the Fibonacci step
-    (p, q) -> (q, p + q), so after k steps the state is b*(F_(k-1), F_k)
-    mod a; b = -F_r^-1 mod a is a unit, so the state is back at (b, 0)
-    only if (F_k, F_(k+1)) = (0, 1) mod a, that is only if M | k.  That
-    L <= M is not proven here: it rests on the check below, which held for
-    every cycle of every a in [2, 1000] (``scripts/period_sweep.py``).
+    The walk from (b, 0) must be back there after M = ``m_per`` steps, or
+    synthesis fails; so the period length L divides M.  M | L always
+    holds: mod a the step is the Fibonacci step (p, q) -> (q, p + q), so
+    after k steps the state is b*(F_(k-1), F_k) mod a; b = -F_r^-1 mod a is
+    a unit, so the state is back at (b, 0) only if (F_k, F_(k+1)) = (0, 1)
+    mod a, that is only if M | k.  Hence L = M, and every cycle of every a
+    in [2, 1000] closes (``scripts/period_sweep.py``).
     """
     cycles: dict[int, _Cycle] = {}
     for b in sorted(wanted):
         if b in cycles:
             continue
-        x = Fraction(b, a)
-        bits = expand(x)
-        if bits.preperiod:
-            raise SynthesisError(
-                f"digit expansion of {x} is not purely periodic: {bits.render()}"
-            )
-        per = bits.period
-        if len(per) != m_per:
-            raise SynthesisError(
-                f"digit period of b/a = {b}/{a} has length {len(per)}, "
-                f"not the Pisano period M = {m_per}, for a={a}"
-            )
+        digits = bytearray(m_per)
         states: list[tuple[int, int]] = []
         p, q = b, 0
-        for ch in per:
+        for j in range(m_per):
             if q == 0 and p in wanted:
-                cycles[p] = (per, states, len(states))
+                cycles[p] = (digits, states, j)
             states.append((p, q))
-            d = 1 if ch == "1" else 0
+            d = sign_of(q - a, p + q) >= 0
+            digits[j] = 48 + d  # "0" or "1"
             p, q = q - a * d, p + q
         if (p, q) != (b, 0):
-            raise SynthesisError(f"digit orbit of {x} does not close for a={a}")
+            raise SynthesisError(
+                f"digit orbit of b/a = {b}/{a} does not close after M = {m_per} steps"
+            )
     return cycles
 
 
 def synthesize(a: int) -> PatternSpec:
     """Construct the full PatternSpec for a fixed a >= 2.
 
-    Residues whose b_r share a digit-orbit cycle share its expansion up to
-    rotation, so ``expand`` runs once per cycle, not once per residue: the
+    The residues come from one walk of (F_r, F_(r+1)) mod a over r < M,
+    with b_r = -F_r^-1 mod a where gcd(a, F_r) = 1.  Residues whose b_r
+    share a digit-orbit cycle share its digits up to rotation, so each
     cycle is walked once with the integer digit step, and every state
-    (b', 0) on it starts the expansion of b'/a (see ``_digit_cycles``).
+    (b', 0) on it starts the digits of b'/a (see ``_digit_cycles``).
     Each residue r's tail value is R(n) = (1 + p_k F_i0 + q_k F_(i0+1)) / a
     at the orbit state k = (r - i0) mod M of the same walk (see the module
     docstring).  It must be integral and lie in [0, F_(i0+1) - 1), and it
@@ -289,23 +285,20 @@ def synthesize(a: int) -> PatternSpec:
     m_per = pisano(a).pi
     b_of: dict[int, int] = {}
     inadmissible = set()
+    f, g = 0, 1  # (F_r, F_(r+1)) mod a
     for r in range(m_per):
-        f_r = fib_mod(r, a)
-        if math.gcd(a, f_r) != 1:
+        if math.gcd(a, f) == 1:
+            b_of[r] = -pow(f, -1, a) % a
+        else:
             inadmissible.add(r)
-            continue
-        b_of[r] = (-mod_inverse(f_r, a)) % a
+        f, g = g, (f + g) % a
 
     cycles = _digit_cycles(a, m_per, set(b_of.values()))
     i0 = m_per + 3
-    # Smallest k with phi^k >= 2a, decided exactly:
-    # phi^k - 2a = (F_{k-1} - 2a) + F_k * phi.  Here k <= i0, because
-    # phi^i0 > F_(M+3) >= 2 F_(M+1) > 2a (F_(M+1) = 1 mod a and F_(M+1) > 1),
-    # so n0 = i0 + 1 and every n < n0 + M has n - i0 <= M.
-    k, f_km1, f_k = 1, 0, 1
-    while QPhi(f_km1 - 2 * a, f_k).sign() < 0:
-        k, f_km1, f_k = k + 1, f_k, f_km1 + f_k
-    n0 = max(i0 + 1, k)
+    # n0 = max(i0 + 1, k) for the smallest k with phi^k >= 2a, and k <= i0:
+    # phi^(M+3) > F_(M+3) >= 2 F_(M+1) > 2a, as F_(M+1) = 1 mod a and
+    # F_(M+1) > 1.  So every n < n0 + M has n - i0 <= M.
+    n0 = i0 + 1
 
     # One table for the tail values, their words and the cross-check,
     # which reads F_(n-1) for n up to n0 + M - 1.
@@ -317,8 +310,12 @@ def synthesize(a: int) -> PatternSpec:
     tail: dict[int, str] = {}
     for r, b in b_of.items():
         per, states, offset = cycles[b]
-        per = per[offset:] + per[:offset]
-        z[r] = ZClass(b, Fraction(b, a), EventuallyPeriodicBits("", per))
+        per = (per[offset:] + per[:offset]).decode()
+        try:
+            zbits = EventuallyPeriodicBits("", per)
+        except DomainError as exc:
+            raise SynthesisError(f"digits of b/a = {b}/{a}: {exc}") from exc
+        z[r] = ZClass(b, Fraction(b, a), zbits)
         p, q = states[(offset + r - i0) % m_per]
         value, rest = divmod(1 + p * f_i0 + q * f_i1, a)
         n = n0 + (r - n0) % m_per

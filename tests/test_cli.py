@@ -6,6 +6,7 @@ import json
 import pytest
 
 import zeckinv.cli
+import zeckinv.pattern
 from zeckinv import from_json_dict, load_pattern, save_pattern, synthesize, to_json_dict
 from zeckinv.cli import main
 
@@ -186,6 +187,18 @@ def test_exit_code_domain_errors(capsys):
     assert run(capsys, "inverse", "3", "2")[0] == 2
     assert run(capsys, "basephi", "1", "2")[0] == 2  # 1 + 2*phi outside [0, 1)
     assert run(capsys, "zeckendorf", "--decode", "110")[0] == 2
+
+
+def test_exit_code_synthesis_error_from_invalid_digits(capsys, monkeypatch):
+    # Digits that EventuallyPeriodicBits refuses are a synthesis failure
+    # (exit 1), not a bad argument (exit 2).
+    def all_ones(a, m_per, wanted):
+        return {b: (bytearray(b"1" * m_per), [], 0) for b in wanted}
+
+    monkeypatch.setattr(zeckinv.pattern, "_digit_cycles", all_ones)
+    code = main(["pattern", "7"])
+    assert code == 1
+    assert "consecutive 1s" in capsys.readouterr().err
 
 
 def test_exit_code_not_coprime(capsys):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import zeckinv.pattern
 from zeckinv import (
     DomainError,
-    EventuallyPeriodicBits,
     InvalidRep,
     NotCoprime,
     SynthesisError,
@@ -41,6 +40,7 @@ from zeckinv import (
 )
 from zeckinv.cli import _a2_expected_indices
 from zeckinv.pattern import _fib_table, _greedy_word, _junction_scan
+from zeckinv.qphi import sign_of
 
 
 @pytest.fixture(scope="module")
@@ -280,8 +280,9 @@ def test_tail_words_well_formed():
 
 
 def test_z_periods_match_digit_expansions():
-    # One expand per residue, independent of the per-cycle walk.
-    for a in [*range(2, 30), *sorted(random.Random(300).sample(range(30, 301), 12))]:
+    # One expand per residue, independent of the per-cycle walk: the only
+    # check of the walk's digits against the general expansion routine.
+    for a in [*range(2, 101), *sorted(random.Random(300).sample(range(101, 301), 12))]:
         spec = synthesize(a)
         for r, zc in spec.z.items():
             bits = expand(Fraction(zc.b, a))
@@ -292,30 +293,71 @@ def test_z_periods_match_digit_expansions():
 
 @pytest.mark.parametrize("a, cycles", [(30, 4), (109, 12), (149, 15)])
 def test_synthesize_expands_once_per_cycle(monkeypatch, a, cycles):
+    # Each cycle is walked once: one exact digit test per step, M steps.
     calls = []
 
-    def counting_expand(x):
-        calls.append(x)
-        return expand(x)
+    def counting_sign_of(u, v):
+        calls.append((u, v))
+        return sign_of(u, v)
 
-    monkeypatch.setattr(zeckinv.pattern, "expand", counting_expand)
+    monkeypatch.setattr(zeckinv.pattern, "sign_of", counting_sign_of)
     spec = synthesize(a)
     periods = [zc.zbits.period for zc in spec.z.values()]
     rotation_classes = {min(p[k:] + p[:k] for k in range(len(p))) for p in periods}
     assert len(spec.z) > cycles
-    assert len(calls) == len(rotation_classes) == cycles
+    assert len(rotation_classes) == cycles
+    assert len(calls) == cycles * spec.M
+
+
+def _flipped_sign_of(step):
+    """sign_of with the digit of the ``step``-th call (from 0) flipped."""
+    calls = []
+
+    def flipped(u, v):
+        calls.append(None)
+        s = sign_of(u, v)
+        return (-1 if s >= 0 else 1) if len(calls) == step + 1 else s
+
+    return flipped
 
 
 @pytest.mark.parametrize("a", [2, 7])
 def test_synthesize_refuses_period_other_than_pisano(monkeypatch, a):
-    # A valid expansion whose period is one digit longer than M = pi(a).
-    def long_expand(x):
-        return EventuallyPeriodicBits("", expand(x).period + "0")
-
-    monkeypatch.setattr(zeckinv.pattern, "expand", long_expand)
+    # Flipping the second digit test puts the walk off its orbit; for these
+    # a it is not back at (b, 0) after M = pi(a) steps.
+    monkeypatch.setattr(zeckinv.pattern, "sign_of", _flipped_sign_of(1))
     m = pisano(a).pi
-    with pytest.raises(SynthesisError, match=f"length {m + 1}, not .* M = {m}, for a={a}$"):
+    with pytest.raises(SynthesisError, match=rf"/{a} does not close after M = {m} steps$"):
         synthesize(a)
+
+
+_CORRUPTED_DIGIT_TESTS = {
+    "always-plus-1": lambda: lambda u, v: 1,
+    "always-minus-1": lambda: lambda u, v: -1,
+    "first-flipped": lambda: _flipped_sign_of(0),
+}
+
+
+@pytest.mark.parametrize("a", [2, 3, 7, 30])
+@pytest.mark.parametrize("digit_test", sorted(_CORRUPTED_DIGIT_TESTS))
+def test_corrupted_digit_tests_raise_synthesis_error(monkeypatch, a, digit_test):
+    # Whatever the digit test answers, synthesis refuses with its own
+    # error (CLI exit 1), never with DomainError (CLI exit 2).
+    monkeypatch.setattr(zeckinv.pattern, "sign_of", _CORRUPTED_DIGIT_TESTS[digit_test]())
+    with pytest.raises(SynthesisError):
+        synthesize(a)
+
+
+def test_n0_is_one_past_i0():
+    # n0 = max(i0 + 1, k) for the smallest k with phi^k >= 2a, so k <= i0
+    # makes n0 = i0 + 1.  phi^k - 2a = (F_(k-1) - 2a) + F_k * phi.
+    for a in range(2, 301):
+        spec = synthesize(a)
+        k, f_km1, f_k = 1, 0, 1
+        while sign_of(f_km1 - 2 * a, f_k) < 0:
+            k, f_km1, f_k = k + 1, f_k, f_km1 + f_k
+        assert k <= spec.i0, a
+        assert spec.n0 == spec.i0 + 1, a
 
 
 def test_synthesize_cross_checks_tail_values_against_the_oracle(monkeypatch):

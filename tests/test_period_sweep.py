@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import zeckinv.pattern
-from zeckinv import expand
+from zeckinv.qphi import sign_of
 
 ROOT = Path(__file__).resolve().parents[1]
 ROWS = {r["a"]: r for r in json.loads((ROOT / "tests" / "data" / "period_sweep.json").read_text())}
@@ -27,14 +27,15 @@ def test_sweep_covers_every_a_without_mismatch():
 
 @pytest.mark.parametrize("a", sorted(random.Random(7).sample(range(2, 301), 24)))
 def test_sweep_rows_recompute(monkeypatch, a):
-    # The cycle count is also checked against the number of expand calls,
-    # one per cycle, which does not depend on the script's walk.
+    # The cycle count is also checked against the number of exact digit
+    # tests synthesis makes, M per cycle, which does not depend on the
+    # script's walk.
     calls = []
 
-    def counting_expand(x):
-        calls.append(x)
-        return expand(x)
+    def counting_sign_of(u, v):
+        calls.append((u, v))
+        return sign_of(u, v)
 
-    monkeypatch.setattr(zeckinv.pattern, "expand", counting_expand)
+    monkeypatch.setattr(zeckinv.pattern, "sign_of", counting_sign_of)
     assert period_sweep.row(a) == ROWS[a]
-    assert len(calls) == ROWS[a]["cycles"]
+    assert len(calls) == ROWS[a]["cycles"] * ROWS[a]["M"]
