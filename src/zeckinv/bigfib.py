@@ -8,6 +8,7 @@ are classified as inadmissible for a >= 2 rather than erroring out).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError, NotCoprime
@@ -17,7 +18,7 @@ __all__ = [
     "fib",
     "fib_pair",
     "fib_mod",
-    "fib_pair_mod",
+    "fib_residues",
     "pisano",
     "mod_inverse",
 ]
@@ -52,8 +53,8 @@ def fib(n: int) -> int:
     return fib_pair(n)[0]
 
 
-def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
-    """Return (F_n mod m, F_{n+1} mod m) without materializing F_n."""
+def fib_mod(n: int, m: int) -> int:
+    """Return F_n mod m via fast doubling in modular arithmetic."""
     if n < 0:
         raise DomainError(f"fib index must be >= 0, got {n}")
     if m < 1:
@@ -66,31 +67,31 @@ def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
             a, b = d, (c + d) % m
         else:
             a, b = c, d
-    return a, b
+    return a
 
 
-def fib_mod(n: int, m: int) -> int:
-    """Return F_n mod m via fast doubling in modular arithmetic."""
-    return fib_pair_mod(n, m)[0]
+def fib_residues(m: int) -> Iterator[int]:
+    """Yield F_r mod m for r = 0, 1, ..., pi(m) - 1, for m >= 2.
+
+    One walk of the pair (F_r, F_(r+1)) mod m, which stops when the pair is
+    back at (0, 1); it gets there because the step is invertible and there
+    are at most m^2 pairs.  A consumer that stops early stops the walk.
+    """
+    f, g = 0, 1
+    while True:
+        yield f
+        f, g = g, (f + g) % m
+        if f == 0 and g == 1:
+            return
 
 
 def pisano(m: int) -> PisanoPeriod:
-    """Return the Pisano period of modulus m.
-
-    Found by direct iteration of the pair (F_k, F_{k+1}) mod m until it
-    returns to (0, 1); terminates because there are at most m^2 pairs.
-    """
+    """Return the Pisano period of modulus m: the length of ``fib_residues(m)``."""
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
     if m == 1:
         return PisanoPeriod(1, 1)
-    a, b = 0, 1
-    k = 0
-    while True:
-        a, b = b, (a + b) % m
-        k += 1
-        if a == 0 and b == 1:
-            return PisanoPeriod(m, k)
+    return PisanoPeriod(m, sum(1 for _ in fib_residues(m)))
 
 
 def mod_inverse(a: int, m: int) -> int:

@@ -10,9 +10,10 @@ into two periodic layers:
 * low digits: positions i0-1 down to 1 form a tail word that depends
   only on r = n mod M.
 
-Every digit period of x_r has length M (see ``_digit_cycles``), so the
-spec's ``ell`` and ``tail_period`` are both M and i0 = M + 3.  The tail
-word spells the remainder
+Every digit period of x_r has length M (see ``_digit_cycles``), so a
+spec is fixed by a, M, the digit periods and the tail words: ``ell`` and
+``tail_period`` are both M, i0 = M + 3, and n0 = i0 + 1.  The tail word
+spells the remainder
 R(n) = (a^-1 mod F_n) - sum_{i=i0}^{n-1} z_{n-i} F_i, which has a closed
 form.  With Tr(u + v*phi) = 2u + v, F_i = Tr(phi^i / sqrt5),
 a^-1 mod F_n = (b_r F_n + 1)/a and b_r/a = sum_j z_j phi^-j,
@@ -33,13 +34,13 @@ import logging
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .bigfib import fib_mod, pisano
+from .bigfib import fib_mod, fib_residues
 from .basephi import EventuallyPeriodicBits
 from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
 from .inverse import inverse_oracle
@@ -68,39 +69,38 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ZClass:
-    """Per-residue data: b_r, x_r = b_r/a, and the digit period of x_r."""
+    """Per-residue data: b_r and the digit period of x_r = b_r/a."""
 
     b: int
-    x: Fraction
     zbits: EventuallyPeriodicBits
 
 
-@dataclass(frozen=True, eq=False)
+def _i0(m_per: int) -> int:
+    """The lowest position of the z part, i0 = M + 3 (see ``PatternSpec``)."""
+    return m_per + 3
+
+
+@dataclass(frozen=True)
 class PatternSpec:
     """The complete periodic description of the representations for one a.
 
     ``z`` maps each admissible residue r mod M (gcd(a, F_r) = 1) to its
-    ZClass, whose digit period has length M; residues of [0, M) absent
-    from ``z`` are exactly the members of ``inadmissible``.  ``tail`` maps
-    the same residues to the low-digit word over positions i0-1 down to 1,
-    and i0 = M + 3.  ``ell`` (the lcm of the digit period lengths) and
-    ``tail_period`` are therefore both M; they are read-only properties.
+    ZClass, whose digit period has length M; ``tail`` maps the same
+    residues to the low-digit word over positions i0-1 down to 1.  Every
+    other quantity follows from M and ``z`` and is a read-only property:
+    ``ell`` (the lcm of the digit period lengths) and ``tail_period`` are
+    both M, i0 = M + 3, n0 = i0 + 1, and ``inadmissible`` holds the
+    residues of [0, M) absent from ``z``.
     """
 
     a: int
     M: int
-    i0: int
-    n0: int
     z: Mapping[int, ZClass]
     tail: Mapping[int, str]
-    inadmissible: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", MappingProxyType(dict(self.z)))
         object.__setattr__(self, "tail", MappingProxyType(dict(self.tail)))
-        # Residue -> offsets of the 1-digits in its period, filled by
-        # evaluate; derived data, so outside __eq__ and the JSON form.
-        object.__setattr__(self, "_ones", {})
 
     @property
     def ell(self) -> int:
@@ -110,21 +110,26 @@ class PatternSpec:
     def tail_period(self) -> int:
         return self.M
 
+    @property
+    def i0(self) -> int:
+        return _i0(self.M)
+
+    @property
+    def n0(self) -> int:
+        """The first n the pattern covers, i0 + 1.
+
+        n0 = max(i0 + 1, k) for the smallest k with phi^k >= 2a, and
+        k <= i0: phi^(M+3) > F_(M+3) >= 2 F_(M+1) > 2a, as
+        F_(M+1) = 1 mod a and F_(M+1) > 1.
+        """
+        return self.i0 + 1
+
+    @property
+    def inadmissible(self) -> frozenset[int]:
+        return frozenset(r for r in range(self.M) if r not in self.z)
+
     def is_admissible(self, n: int) -> bool:
         return (n % self.M) in self.z
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PatternSpec):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.M == other.M
-            and self.i0 == other.i0
-            and self.n0 == other.n0
-            and dict(self.z) == dict(other.z)
-            and dict(self.tail) == dict(other.tail)
-            and self.inadmissible == other.inadmissible
-        )
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,11 @@ def _greedy_word(value: int, i0: int, fibs: list[int]) -> str:
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _bits(word: str) -> bytes:
+    """The digits of ``word`` as bytes 0/1: a ``compress`` selector of its 1s."""
+    return bytes(word, "ascii").translate(_BIT_BYTES)
+
+
 def _exact_remainder(a: int, n: int, i0: int, period: str, fibs: list[int]) -> int:
     """R(n) by direct big-integer computation (cross-check path).
 
@@ -192,8 +202,7 @@ def _exact_remainder(a: int, n: int, i0: int, period: str, fibs: list[int]) -> i
     oracle value comes from ``inverse_oracle`` and does not read ``fibs``.
     """
     value = inverse_oracle(a, n)
-    bits = bytes(period[: n - i0], "ascii").translate(_BIT_BYTES)
-    return value - sum(compress(fibs[n - 1 : i0 - 1 : -1], bits))
+    return value - sum(compress(fibs[n - 1 : i0 - 1 : -1], _bits(period[: n - i0])))
 
 
 def _junction_scan(spec: "PatternSpec") -> None:
@@ -268,11 +277,12 @@ def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
 def synthesize(a: int) -> PatternSpec:
     """Construct the full PatternSpec for a fixed a >= 2.
 
-    The residues come from one walk of (F_r, F_(r+1)) mod a over r < M,
-    with b_r = -F_r^-1 mod a where gcd(a, F_r) = 1.  Residues whose b_r
-    share a digit-orbit cycle share its digits up to rotation, so each
-    cycle is walked once with the integer digit step, and every state
-    (b', 0) on it starts the digits of b'/a (see ``_digit_cycles``).
+    M and the residues come from one walk of (F_r, F_(r+1)) mod a,
+    ``fib_residues``, with b_r = -F_r^-1 mod a where gcd(a, F_r) = 1.
+    Residues whose b_r share a digit-orbit cycle share its digits up to
+    rotation, so each cycle is walked once with the integer digit step,
+    and every state (b', 0) on it starts the digits of b'/a (see
+    ``_digit_cycles``).
     Each residue r's tail value is R(n) = (1 + p_k F_i0 + q_k F_(i0+1)) / a
     at the orbit state k = (r - i0) mod M of the same walk (see the module
     docstring).  It must be integral and lie in [0, F_(i0+1) - 1), and it
@@ -282,23 +292,13 @@ def synthesize(a: int) -> PatternSpec:
     if a < 2:
         raise DomainError(f"need a >= 2, got {a}")
 
-    m_per = pisano(a).pi
-    b_of: dict[int, int] = {}
-    inadmissible = set()
-    f, g = 0, 1  # (F_r, F_(r+1)) mod a
-    for r in range(m_per):
-        if math.gcd(a, f) == 1:
-            b_of[r] = -pow(f, -1, a) % a
-        else:
-            inadmissible.add(r)
-        f, g = g, (f + g) % a
+    fs = list(fib_residues(a))
+    m_per = len(fs)
+    b_of = {r: -pow(f, -1, a) % a for r, f in enumerate(fs) if math.gcd(a, f) == 1}
 
     cycles = _digit_cycles(a, m_per, set(b_of.values()))
-    i0 = m_per + 3
-    # n0 = max(i0 + 1, k) for the smallest k with phi^k >= 2a, and k <= i0:
-    # phi^(M+3) > F_(M+3) >= 2 F_(M+1) > 2a, as F_(M+1) = 1 mod a and
-    # F_(M+1) > 1.  So every n < n0 + M has n - i0 <= M.
-    n0 = i0 + 1
+    i0 = _i0(m_per)
+    n0 = i0 + 1  # PatternSpec.n0; every n < n0 + M has n - i0 <= M
 
     # One table for the tail values, their words and the cross-check,
     # which reads F_(n-1) for n up to n0 + M - 1.
@@ -315,7 +315,7 @@ def synthesize(a: int) -> PatternSpec:
             zbits = EventuallyPeriodicBits("", per)
         except DomainError as exc:
             raise SynthesisError(f"digits of b/a = {b}/{a}: {exc}") from exc
-        z[r] = ZClass(b, Fraction(b, a), zbits)
+        z[r] = ZClass(b, zbits)
         p, q = states[(offset + r - i0) % m_per]
         value, rest = divmod(1 + p * f_i0 + q * f_i1, a)
         n = n0 + (r - n0) % m_per
@@ -333,15 +333,7 @@ def synthesize(a: int) -> PatternSpec:
     logger.debug(
         "tail bound F_i0 %s for a=%d", "exceeded" if top >= f_i0 else "held", a
     )
-    spec = PatternSpec(
-        a=a,
-        M=m_per,
-        i0=i0,
-        n0=n0,
-        z=z,
-        tail=tail,
-        inadmissible=frozenset(inadmissible),
-    )
+    spec = PatternSpec(a=a, M=m_per, z=z, tail=tail)
     _junction_scan(spec)
     return spec
 
@@ -359,9 +351,10 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     into the output.  The full period blocks are one ``range`` per
     1-offset, interleaved block by block by ``zip`` into one list, so the
     per-index work runs in C; the partial top block and the tail word
-    follow.  Each residue's 1-offsets are found on its first evaluation
-    and kept with the spec, so after that the cost is one C-level pass,
-    O(number of indices), plus O(i0) for the tail word.
+    follow.  The 1-positions of the period, of the partial block and of
+    the tail word each come from ``compress`` over the word's digits, so
+    the cost is C-level passes of O(M + i0) plus O(number of indices), and
+    nothing is kept on the spec.
     """
     if n < spec.n0:
         raise DomainError(f"need n >= {spec.n0}, got {n}")
@@ -372,25 +365,25 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
 
     per = zc.zbits.period
     lr = len(per)
-    ones = spec._ones.get(r)
-    if ones is None:
-        ones = spec._ones[r] = [o for o, ch in enumerate(per) if ch == "1"]
-    word = spec.tail[r]
+    bits = _bits(per)
+    i0 = spec.i0
 
     # Writing j = n - i, digit j is per[(j-1) mod lr]; indices are emitted
     # in decreasing order.  Full block k covers positions n-1-k*lr down to
     # n-(k+1)*lr, and the partial block below them starts at ``base``.
     # The ranges go to zip as a list: unpacking a generator grows a tuple
     # that CPython, once freed, parks in its tuple free lists, one per call.
-    nblocks, rem = divmod(n - spec.i0, lr)
+    nblocks, rem = divmod(n - i0, lr)
     base = n - 1 - nblocks * lr
     indices = list(
-        chain.from_iterable(zip(*[range(n - 1 - o, base - o, -lr) for o in ones]))
+        chain.from_iterable(
+            zip(*[range(n - 1 - o, base - o, -lr) for o in compress(range(lr), bits)])
+        )
     )
-    indices.extend(base - o for o in ones if o < rem)
+    indices.extend(compress(range(base, base - rem, -1), bits[:rem]))
     # Tail word: character j corresponds to position i0 - 1 - j.
-    top = spec.i0 - 1
-    indices.extend(top - j for j, ch in enumerate(word) if ch == "1")
+    word = spec.tail[r]
+    indices.extend(compress(range(i0 - 1, 0, -1), _bits(word)))
 
     if word and word[-1] == "1":
         # Position 1 is in use (never produced by greedy extraction, but a
@@ -468,7 +461,7 @@ def splice_value(spec: PatternSpec, n: int) -> QPhi:
     zc = spec.z.get(r)
     if zc is None:
         raise NotCoprime(math.gcd(spec.a, fib_mod(n, spec.a)))
-    x_r = QPhi(zc.x)
+    x_r = QPhi(Fraction(zc.b, spec.a))
     sgn = -1 if n % 2 else 1
     return (
         x_r
@@ -515,8 +508,8 @@ def from_json_dict(data: dict) -> PatternSpec:
     """Load a spec, which must be exactly the canonical spec of its ``a``.
 
     Cheap checks come first: field types, canonical table keys, table
-    sizes, M == pi(a) by one walk that the file's own ``z`` table bounds,
-    and ell == tail_period == M, i0 == M + 3.  Then ``synthesize(a)`` runs
+    sizes, M == pi(a) by one walk that the file's M bounds (see
+    ``_check_residues``), and ell == tail_period == M, i0 == M + 3.  Then ``synthesize(a)`` runs
     and the data must equal its JSON form; otherwise the first differing
     field, and for ``z`` and ``tail`` the first differing key, is named.
     So a file loads if and only if it is the canonical spec, and loading
@@ -544,8 +537,8 @@ def from_json_dict(data: dict) -> PatternSpec:
     _check_residues(a, m_per, residues)
     if ell != m_per:
         raise DomainError(f"ell={ell} is not M={m_per}")
-    if i0 != m_per + 3:
-        raise DomainError(f"i0={i0} is not M + 3 = {m_per + 3}")
+    if i0 != _i0(m_per):
+        raise DomainError(f"i0={i0} is not M + 3 = {_i0(m_per)}")
 
     spec = synthesize(a)
     want = to_json_dict(spec)
@@ -571,17 +564,17 @@ def _check_residues(a: int, m_per: int, residues: set[int]) -> None:
     """Check that ``residues`` are exactly the r in [0, M) with
     gcd(a, F_r) = 1 and that M is the Pisano period of a.
 
-    One walk over (F_r, F_(r+1)) mod a; a claimed M far too large stops
-    the walk at the first admissible residue missing from ``residues``.
+    One pass over ``fib_residues(a)`` that stops after M steps, at the end
+    of the period, or at the first mislabelled residue, so the file's M
+    bounds the walk and a claimed M far too large costs little.
     """
-    f, g = 0, 1
-    for r in range(m_per):
-        if r and (f, g) == (0, 1):
-            raise DomainError(f"M={m_per} is not the Pisano period of a={a}")
-        if (math.gcd(a, f) == 1) != (r in residues):
-            raise DomainError(f"admissibility of residue {r} mislabeled")
-        f, g = g, (f + g) % a
-    if (f, g) != (0, 1):
+    walk = fib_residues(a)
+    steps = 0
+    for f in islice(walk, m_per):
+        if (math.gcd(a, f) == 1) != (steps in residues):
+            raise DomainError(f"admissibility of residue {steps} mislabeled")
+        steps += 1
+    if steps != m_per or next(walk, None) is not None:
         raise DomainError(f"M={m_per} is not the Pisano period of a={a}")
 
 

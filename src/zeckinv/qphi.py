@@ -187,14 +187,6 @@ class QPhi:
 
     # -- rendering --------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.v == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.v != 0:
-            raise DomainError(f"{self} is irrational")
-        return self.u
-
     def __str__(self) -> str:
         if self.v < 0:
             return f"{self.u} - {-self.v}·phi"

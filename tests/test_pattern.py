@@ -72,7 +72,6 @@ def test_a2_structure(spec2):
     assert spec2.inadmissible == frozenset({0})
     for r in (1, 2):
         assert spec2.z[r].b == 1
-        assert spec2.z[r].x == Fraction(1, 2)
         assert spec2.z[r].zbits.preperiod == ""
         assert spec2.z[r].zbits.period == "010"
     assert spec2.tail == {1: "10100", 2: "01000"}
@@ -202,6 +201,7 @@ def test_evaluate_leaves_spec_equal_and_json_unchanged():
     before = to_json_dict(spec)
     for n in (spec.n0, 101, 10**4 + 1, 101):
         evaluate(spec, n)
+    assert set(vars(spec)) == {"a", "M", "z", "tail"}
     assert spec == synthesize(7)
     assert to_json_dict(spec) == before
 
@@ -358,6 +358,7 @@ def test_n0_is_one_past_i0():
             k, f_km1, f_k = k + 1, f_k, f_km1 + f_k
         assert k <= spec.i0, a
         assert spec.n0 == spec.i0 + 1, a
+        assert spec.inadmissible == {r for r in range(spec.M) if math.gcd(a, fib(r)) != 1}, a
 
 
 def test_synthesize_cross_checks_tail_values_against_the_oracle(monkeypatch):
@@ -417,11 +418,13 @@ def test_greedy_word_refuses_f_i0(i0):
 
 def test_pattern_spec_derives_ell_and_tail_period():
     names = [f.name for f in dataclasses.fields(zeckinv.PatternSpec)]
-    assert names == ["a", "M", "i0", "n0", "z", "tail", "inadmissible"]
+    assert names == ["a", "M", "z", "tail"]
     for a in (2, 3, 30):
         spec = _spec(a)
         assert spec.ell == spec.tail_period == spec.M
         assert spec.i0 == spec.M + 3
+        assert spec.n0 == spec.M + 4
+        assert spec.inadmissible == set(range(spec.M)) - set(spec.z)
         assert set(spec.tail) == set(spec.z)
 
 
@@ -678,6 +681,23 @@ def test_from_json_rejects_huge_tail_period_quickly(spec2):
     t0 = time.perf_counter()
     with pytest.raises(DomainError):
         from_json_dict(json.loads(text))
+    assert time.perf_counter() - t0 < 0.05
+
+
+@pytest.mark.parametrize("m_per", [3, 10**12])
+def test_from_json_bounds_the_residue_walk_by_m(m_per):
+    # Each file agrees with itself in every field derived from M, so only
+    # the walk of F_r mod a, which the file's M bounds, can refuse it: at
+    # its end for M = 3 (F_3 mod a is not 0), at r = 3 for M = 10^12 (F_3
+    # = 2 is a unit mod the odd a, but 3 is not a listed residue).
+    a = 10**12 + 39
+    entry = {"b": 1, "period_bits": "010"}
+    data = {"a": a, "M": m_per, "ell": m_per, "i0": m_per + 3, "n0": m_per + 4,
+            "tail_period": m_per, "z": {"1": entry, "2": entry},
+            "tail": {"1": "0", "2": "0"}}
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        from_json_dict(data)
     assert time.perf_counter() - t0 < 0.05
 
 
