@@ -45,7 +45,7 @@ def cycle_count(spec: PatternSpec) -> int:
             continue
         count += 1
         p, q = zc.b, 0
-        for ch in zc.zbits.period:
+        for ch in zc.period:
             if q == 0:
                 seen.add(p)
             p, q = q - spec.a * int(ch), p + q

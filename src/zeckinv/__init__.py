@@ -16,7 +16,7 @@ from .basephi import (
     splice_check,
     zeckendorf_from_phi,
 )
-from .bigfib import PisanoPeriod, fib, fib_mod, fib_pair, mod_inverse, pisano
+from .bigfib import fib, fib_mod, fib_pair, mod_inverse, pisano
 from .errors import (
     DomainError,
     InternalInvariantViolation,
@@ -70,7 +70,6 @@ __all__ = [
     "SynthesisError",
     "InternalInvariantViolation",
     # bigfib
-    "PisanoPeriod",
     "fib",
     "fib_pair",
     "fib_mod",

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import DomainError, NotCoprime
 
 __all__ = [
-    "PisanoPeriod",
     "fib",
     "fib_pair",
     "fib_mod",
@@ -22,14 +20,6 @@ __all__ = [
     "pisano",
     "mod_inverse",
 ]
-
-
-@dataclass(frozen=True)
-class PisanoPeriod:
-    """The minimal period ``pi`` of the Fibonacci sequence modulo ``m``."""
-
-    m: int
-    pi: int
 
 
 def fib_pair(n: int) -> tuple[int, int]:
@@ -85,13 +75,13 @@ def fib_residues(m: int) -> Iterator[int]:
             return
 
 
-def pisano(m: int) -> PisanoPeriod:
+def pisano(m: int) -> int:
     """Return the Pisano period of modulus m: the length of ``fib_residues(m)``."""
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
     if m == 1:
-        return PisanoPeriod(1, 1)
-    return PisanoPeriod(m, sum(1 for _ in fib_residues(m)))
+        return 1
+    return sum(1 for _ in fib_residues(m))
 
 
 def mod_inverse(a: int, m: int) -> int:

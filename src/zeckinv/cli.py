@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from fractions import Fraction
+from itertools import compress
 
 from .basephi import expand
-from .bigfib import fib, pisano
+from .bigfib import pisano
 from .errors import (
     DomainError,
     InvalidRep,
@@ -25,6 +25,7 @@ from .errors import (
 )
 from .inverse import inverse_closed, inverse_oracle
 from .pattern import (
+    _fib_table,
     evaluate,
     load_pattern,
     matches_oracle,
@@ -66,11 +67,11 @@ def cmd_pattern(args: argparse.Namespace) -> int:
             f"n0={spec.n0} tail_period={spec.tail_period}"
         )
         for r, zc in sorted(spec.z.items()):
-            print(f"z[{r}]: b={zc.b} period={zc.zbits.period}")
+            print(f"z[{r}]: b={zc.b} period={zc.period}")
+        # F_(i0-1), ..., F_1: the weight of each character of a tail word.
+        weights = _fib_table(spec.i0)[spec.i0 - 1 : 0 : -1]
         for c, word in sorted(spec.tail.items()):
-            value = sum(
-                fib(spec.i0 - 1 - j) for j, ch in enumerate(word) if ch == "1"
-            )
+            value = sum(compress(weights, map("1".__eq__, word)))
             print(f"tail[{c}]: {word} (={value})")
         inadm = ",".join(str(r) for r in sorted(spec.inadmissible))
         print(f"inadmissible residues mod {spec.M}: {inadm or 'none'}")
@@ -179,11 +180,11 @@ def cmd_basephi(args: argparse.Namespace) -> int:
 
 
 def cmd_pisano(args: argparse.Namespace) -> int:
-    period = pisano(args.m)
+    pi = pisano(args.m)
     if args.json:
-        _print_json({"m": period.m, "pi": period.pi})
+        _print_json({"m": args.m, "pi": pi})
     else:
-        print(period.pi)
+        print(pi)
     return 0
 
 
@@ -268,9 +269,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "of (a^-1 mod F_n)."
         ),
     )
-    parser.add_argument("-q", "--quiet", action="store_true", help="less chatter")
     parser.add_argument(
-        "--debug", action="store_true", help="debug logging and extra cross-checks"
+        "--debug",
+        action="store_true",
+        help="cross-check inverse results against the big-integer oracle",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -328,12 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG
-        if args.debug
-        else (logging.ERROR if args.quiet else logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         return args.func(args)
     except NotCoprime as exc:

@@ -1,10 +1,9 @@
 """The modular inverse of a modulo F_n: closed form and brute-force oracle.
 
-The closed form rests on two facts: F_n mod a depends only on
-r = n mod pi(a), and with b = (-F_r^-1 mod a) the number b*F_n + 1 is
-divisible by a, with quotient exactly (a^-1 mod F_n).  The oracle computes
-F_n outright and inverts by extended Euclid; the two share nothing but fib
-and so check each other.
+The closed form rests on one fact: with b = (-F_n^-1 mod a) the number
+b*F_n + 1 is divisible by a, with quotient exactly (a^-1 mod F_n); b
+needs only F_n mod a, not the Pisano period.  The oracle computes F_n outright and inverts by extended Euclid;
+the two share nothing but fib and so check each other.
 """
 
 from __future__ import annotations
@@ -20,13 +19,17 @@ __all__ = ["InverseResult", "inverse_closed", "inverse_oracle"]
 
 @dataclass(frozen=True)
 class InverseResult:
-    """Closed-form inverse together with its certificate (b, r)."""
+    """Closed-form inverse together with its certificate b."""
 
     a: int
     n: int
     value: int
     b: int
-    r: int
+
+    @property
+    def r(self) -> int:
+        """The residue n mod pi(a), which fixes b; computed when read."""
+        return self.n % pisano(self.a)
 
 
 def _check_args(a: int, n: int) -> None:
@@ -39,22 +42,21 @@ def _check_args(a: int, n: int) -> None:
 def inverse_closed(a: int, n: int) -> InverseResult:
     """(a^-1 mod F_n) as (b*F_n + 1)/a, without ever inverting modulo F_n.
 
-    b = (-F_r^-1 mod a) with r = n mod pi(a); b = 0 only for a = 1.
+    b = (-F_n^-1 mod a), from the residue F_n mod a that the gcd test
+    reads; b = 0 only for a = 1, where mod_inverse(0, 1) = 1.
     """
     _check_args(a, n)
-    g = math.gcd(a, fib_mod(n, a))
+    f = fib_mod(n, a)
+    g = math.gcd(a, f)
     if g != 1:
         raise NotCoprime(g, f"gcd({a}, F_{n}) = {g}; no inverse exists")
-    if a == 1:
-        return InverseResult(a=1, n=n, value=1, b=0, r=0)
-    r = n % pisano(a).pi
-    b = (-mod_inverse(fib_mod(r, a), a)) % a
+    b = -mod_inverse(f, a) % a
     numerator = b * fib(n) + 1
     if numerator % a:
         raise InternalInvariantViolation(
             f"b*F_n + 1 not divisible by a for a={a}, n={n}"
         )
-    return InverseResult(a=a, n=n, value=numerator // a, b=b, r=r)
+    return InverseResult(a=a, n=n, value=numerator // a, b=b)
 
 
 def inverse_oracle(a: int, n: int) -> int:

@@ -30,7 +30,6 @@ alone: the digits, the orbit states and the residues b_r.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import time
 from bisect import bisect_right
@@ -64,15 +63,13 @@ __all__ = [
     "report_to_json_dict",
 ]
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class ZClass:
-    """Per-residue data: b_r and the digit period of x_r = b_r/a."""
+    """Per-residue data: b_r and the digit period word of x_r = b_r/a."""
 
     b: int
-    zbits: EventuallyPeriodicBits
+    period: str
 
 
 def _i0(m_per: int) -> int:
@@ -85,7 +82,7 @@ class PatternSpec:
     """The complete periodic description of the representations for one a.
 
     ``z`` maps each admissible residue r mod M (gcd(a, F_r) = 1) to its
-    ZClass, whose digit period has length M; ``tail`` maps the same
+    ZClass, whose digit period word has length M; ``tail`` maps the same
     residues to the low-digit word over positions i0-1 down to 1.  Every
     other quantity follows from M and ``z`` and is a read-only property:
     ``ell`` (the lcm of the digit period lengths) and ``tail_period`` are
@@ -213,7 +210,8 @@ def _junction_scan(spec: "PatternSpec") -> None:
     and positions i0-1 down to 1 carry the tail word of r.  A "11" can only
     lie
     * inside the z part: any two neighbours of per^inf are neighbours in
-      per + per, where ``EventuallyPeriodicBits`` already refuses "11";
+      per + per, where ``synthesize`` already refused "11" by checking
+      the cycle's word, of which per is a rotation;
     * inside a tail word: each word is checked once;
     * at the junction, positions i0 and i0-1: the z digit
       z_(n-i0) = per[(r - i0 - 1) % M], since per has length M, and the
@@ -224,26 +222,27 @@ def _junction_scan(spec: "PatternSpec") -> None:
         word = spec.tail[r]
         if "11" in word:
             raise SynthesisError(f"tail word for a={spec.a}, class {r} contains '11'")
-        if zc.zbits.period[(r - spec.i0 - 1) % spec.M] == "1" and word.startswith("1"):
+        if zc.period[(r - spec.i0 - 1) % spec.M] == "1" and word.startswith("1"):
             raise SynthesisError(
                 f"assembled digits contain '11' for a={spec.a}, n≡{r}"
             )
 
 
-_Cycle = tuple[bytearray, list[tuple[int, int]], int]  # see _digit_cycles
+_Cycle = tuple[str, list[tuple[int, int]], int]  # see _digit_cycles
 
 
 def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
     """Walk the digit-orbit cycle of b/a once for every b in ``wanted``.
 
-    Maps each b to (per, states, k): the digit period of the cycle as
-    walked from its first b, the characters "0"/"1" as bytes, the orbit
-    states (p, q) of (p + q*phi)/a in that order, and the position k of
-    (b, 0) in them.  So b/a has the period per[k:] + per[:k] and its j-th
-    orbit state is states[(k + j) % M].  Each step is the digit map of
-    ``expand`` with den = a (b/a is reduced, as b is a unit mod a): the
-    digit d is 1 exactly when (q - a) + (p + q)*phi >= 0, and the next
-    state is (q - a*d, p + q).
+    Maps each b to (per, states, k): the digit word of the cycle as
+    walked from its first b, the orbit states (p, q) of (p + q*phi)/a in
+    that order, and the position k of (b, 0) in them.  So b/a has the
+    period per[k:] + per[:k] and its j-th orbit state is
+    states[(k + j) % M].  Every b on a cycle shares its ``per`` and
+    ``states``, and k = 0 exactly for the cycle's first b.  Each step is
+    the digit map of ``expand`` with den = a (b/a is reduced, as b is a
+    unit mod a): the digit d is 1 exactly when (q - a) + (p + q)*phi >= 0,
+    and the next state is (q - a*d, p + q).
 
     The walk from (b, 0) must be back there after M = ``m_per`` steps, or
     synthesis fails; so the period length L divides M.  M | L always
@@ -259,10 +258,11 @@ def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
             continue
         digits = bytearray(m_per)
         states: list[tuple[int, int]] = []
+        starts: list[tuple[int, int]] = []  # (b', k) for each wanted b' passed
         p, q = b, 0
         for j in range(m_per):
             if q == 0 and p in wanted:
-                cycles[p] = (digits, states, j)
+                starts.append((p, j))
             states.append((p, q))
             d = sign_of(q - a, p + q) >= 0
             digits[j] = 48 + d  # "0" or "1"
@@ -271,6 +271,9 @@ def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
             raise SynthesisError(
                 f"digit orbit of b/a = {b}/{a} does not close after M = {m_per} steps"
             )
+        per = digits.decode()
+        for b_on, k in starts:
+            cycles[b_on] = (per, states, k)
     return cycles
 
 
@@ -282,12 +285,13 @@ def synthesize(a: int) -> PatternSpec:
     Residues whose b_r share a digit-orbit cycle share its digits up to
     rotation, so each cycle is walked once with the integer digit step,
     and every state (b', 0) on it starts the digits of b'/a (see
-    ``_digit_cycles``).
+    ``_digit_cycles``).  The checks of ``EventuallyPeriodicBits`` are
+    invariant under rotation, so it runs once per cycle.
     Each residue r's tail value is R(n) = (1 + p_k F_i0 + q_k F_(i0+1)) / a
     at the orbit state k = (r - i0) mod M of the same walk (see the module
-    docstring).  It must be integral and lie in [0, F_(i0+1) - 1), and it
-    is cross-checked against the big-integer oracle at the first n >= n0
-    in r's class.
+    docstring).  It must be a non-negative integer, below F_i0 so that
+    ``_greedy_word`` spells it under position i0, and it is cross-checked
+    against the big-integer oracle at the first n >= n0 in r's class.
     """
     if a < 2:
         raise DomainError(f"need a >= 2, got {a}")
@@ -297,6 +301,12 @@ def synthesize(a: int) -> PatternSpec:
     b_of = {r: -pow(f, -1, a) % a for r, f in enumerate(fs) if math.gcd(a, f) == 1}
 
     cycles = _digit_cycles(a, m_per, set(b_of.values()))
+    for b, (per, _, offset) in cycles.items():
+        if offset == 0:  # the cycle's first b; the others hold rotations
+            try:
+                EventuallyPeriodicBits("", per)
+            except DomainError as exc:
+                raise SynthesisError(f"digits of b/a = {b}/{a}: {exc}") from exc
     i0 = _i0(m_per)
     n0 = i0 + 1  # PatternSpec.n0; every n < n0 + M has n - i0 <= M
 
@@ -304,35 +314,25 @@ def synthesize(a: int) -> PatternSpec:
     # which reads F_(n-1) for n up to n0 + M - 1.
     fibs = _fib_table(n0 + m_per - 1)
     f_i0, f_i1 = fibs[i0], fibs[i0 + 1]
-    bound = f_i1 - 1  # sum_{i < i0} F_i
-    top = 0
     z: dict[int, ZClass] = {}
     tail: dict[int, str] = {}
     for r, b in b_of.items():
         per, states, offset = cycles[b]
-        per = (per[offset:] + per[:offset]).decode()
-        try:
-            zbits = EventuallyPeriodicBits("", per)
-        except DomainError as exc:
-            raise SynthesisError(f"digits of b/a = {b}/{a}: {exc}") from exc
-        z[r] = ZClass(b, zbits)
+        per = per[offset:] + per[:offset]
+        z[r] = ZClass(b, per)
         p, q = states[(offset + r - i0) % m_per]
         value, rest = divmod(1 + p * f_i0 + q * f_i1, a)
         n = n0 + (r - n0) % m_per
-        if rest or not 0 <= value < bound:
+        if rest or value < 0:
             raise SynthesisError(
-                f"remainder is not an integer in [0, F_(i0+1) - 1) for a={a}, n={n}"
+                f"remainder is not a non-negative integer for a={a}, n={n}"
             )
         if value != _exact_remainder(a, n, i0, per, fibs):
             raise SynthesisError(
                 f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
             )
-        top = max(top, value)
         tail[r] = _greedy_word(value, i0, fibs)
 
-    logger.debug(
-        "tail bound F_i0 %s for a=%d", "exceeded" if top >= f_i0 else "held", a
-    )
     spec = PatternSpec(a=a, M=m_per, z=z, tail=tail)
     _junction_scan(spec)
     return spec
@@ -363,7 +363,7 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     if zc is None:
         raise NotCoprime(math.gcd(spec.a, fib_mod(n, spec.a)))
 
-    per = zc.zbits.period
+    per = zc.period
     lr = len(per)
     bits = _bits(per)
     i0 = spec.i0
@@ -483,7 +483,7 @@ def to_json_dict(spec: PatternSpec) -> dict:
         "n0": spec.n0,
         "tail_period": spec.tail_period,
         "z": {
-            str(r): {"b": zc.b, "period_bits": zc.zbits.period}
+            str(r): {"b": zc.b, "period_bits": zc.period}
             for r, zc in sorted(spec.z.items())
         },
         "tail": {str(c): word for c, word in sorted(spec.tail.items())},

@@ -88,15 +88,13 @@ def test_fib_mod_huge_index():
 
 def test_pisano_spot_values():
     for m, want in [(1, 1), (2, 3), (3, 8), (10, 60)]:
-        got = pisano(m)
-        assert got.m == m
-        assert got.pi == want
+        assert pisano(m) == want
         assert naive_pisano(m) == want
 
 
 def test_pisano_periodicity_and_minimality_small_moduli():
     for m in range(1, 201):
-        pi = pisano(m).pi
+        pi = pisano(m)
         assert pi == naive_pisano(m)
         seq = [f % m for f in naive_fib_list(3 * pi + pi + 2)]
         assert all(seq[n + pi] == seq[n] for n in range(3 * pi))

@@ -6,8 +6,16 @@ import json
 import pytest
 
 import zeckinv.cli
+import zeckinv.inverse
 import zeckinv.pattern
-from zeckinv import from_json_dict, load_pattern, save_pattern, synthesize, to_json_dict
+from zeckinv import (
+    from_json_dict,
+    inverse_oracle,
+    load_pattern,
+    save_pattern,
+    synthesize,
+    to_json_dict,
+)
 from zeckinv.cli import main
 
 
@@ -42,6 +50,21 @@ def test_inverse_methods_agree(capsys):
         assert code == 0
         values.add(out)
     assert len(values) == 1
+
+
+def test_inverse_closed_at_huge_a_skips_the_pisano_walk(capsys, monkeypatch):
+    # A walk of pi(a) steps at this a takes far longer than a test may run;
+    # with the walk patched to raise, a regression fails instead of hanging.
+    def no_pisano(m):
+        raise AssertionError(f"pisano({m}) called")
+
+    monkeypatch.setattr(zeckinv.inverse, "pisano", no_pisano)
+    a = 1000000000039
+    code, out = run(capsys, "inverse", str(a), "100", "--method", "closed", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == inverse_oracle(a, 100)
+    assert data["method"] == "closed"
 
 
 def test_inverse_json(capsys):
@@ -193,7 +216,7 @@ def test_exit_code_synthesis_error_from_invalid_digits(capsys, monkeypatch):
     # Digits that EventuallyPeriodicBits refuses are a synthesis failure
     # (exit 1), not a bad argument (exit 2).
     def all_ones(a, m_per, wanted):
-        return {b: (bytearray(b"1" * m_per), [], 0) for b in wanted}
+        return {b: ("1" * m_per, [], 0) for b in wanted}
 
     monkeypatch.setattr(zeckinv.pattern, "_digit_cycles", all_ones)
     code = main(["pattern", "7"])

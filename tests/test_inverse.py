@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import zeckinv.inverse
 from zeckinv import (
     DomainError,
     NotCoprime,
@@ -32,7 +33,7 @@ def test_oracle_not_coprime():
 
 def test_closed_examples():
     res = inverse_closed(3, 5)
-    assert (res.value, res.b, res.r) == (2, 1, 5 % pisano(3).pi)
+    assert (res.value, res.b, res.r) == (2, 1, 5 % pisano(3))
     assert inverse_closed(2, 8).value == 11
     assert inverse_closed(1, 77).value == 1
 
@@ -49,7 +50,7 @@ def test_closed_requires_admissible_n():
 
 def test_closed_matches_oracle_exhaustive():
     for a in range(1, 51):
-        pi = pisano(a).pi
+        pi = pisano(a)
         for n in range(3, 201):
             if math.gcd(a, fib(n)) != 1:
                 with pytest.raises(NotCoprime):
@@ -64,6 +65,23 @@ def test_closed_matches_oracle_exhaustive():
             # The defining identity, checked directly.
             assert (got.b * fib(n) + 1) % a == 0
             assert got.value == (got.b * fib(n) + 1) // a
+
+
+def test_closed_form_needs_no_pisano_period(monkeypatch):
+    # b follows from F_n mod a, so the closed form never walks pi(a).
+    def no_pisano(m):
+        raise AssertionError(f"pisano({m}) called")
+
+    monkeypatch.setattr(zeckinv.inverse, "pisano", no_pisano)
+    for a in range(1, 51):
+        for n in range(3, 201):
+            if math.gcd(a, fib(n)) != 1:
+                continue
+            got = inverse_closed(a, n)
+            want = inverse_oracle(a, n)
+            assert got.value == want, (a, n)
+            # a*want - 1 = b*F_n with 0 <= b < a, as 1 <= want <= F_n.
+            assert got.b == (a * want - 1) // fib(n), (a, n)
 
 
 def test_value_range_convention():

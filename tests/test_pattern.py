@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import zeckinv.pattern
 from zeckinv import (
     DomainError,
+    EventuallyPeriodicBits,
     InvalidRep,
     NotCoprime,
     SynthesisError,
@@ -72,8 +73,7 @@ def test_a2_structure(spec2):
     assert spec2.inadmissible == frozenset({0})
     for r in (1, 2):
         assert spec2.z[r].b == 1
-        assert spec2.z[r].zbits.preperiod == ""
-        assert spec2.z[r].zbits.period == "010"
+        assert spec2.z[r].period == "010"
     assert spec2.tail == {1: "10100", 2: "01000"}
 
 
@@ -92,7 +92,7 @@ def test_a2_against_oracle(spec2):
 
 
 def test_a3_first_admissible(spec3):
-    assert spec3.M == pisano(3).pi == 8
+    assert spec3.M == pisano(3) == 8
     n = spec3.n0
     while not spec3.is_admissible(n):
         n += 1
@@ -171,7 +171,7 @@ def test_evaluate_block_edges():
     for a in (3, 7, 50, 120):
         spec = _spec(a)
         for r, zc in spec.z.items():
-            lr = len(zc.zbits.period)
+            lr = len(zc.period)
             ns = set()
             first = spec.n0 + (r - spec.n0) % spec.M
             if first - spec.i0 < lr:
@@ -242,7 +242,7 @@ def test_evaluate_large_n_is_fast(spec7):
 def inverse_mod_q(a: int, n: int, q: int) -> int:
     from zeckinv import fib_mod, mod_inverse
 
-    r = n % pisano(a).pi
+    r = n % pisano(a)
     b = (-mod_inverse(fib_mod(r, a) % a, a)) % a
     return (b * fib_mod(n, q) + 1) % q * pow(a, -1, q) % q
 
@@ -287,26 +287,37 @@ def test_z_periods_match_digit_expansions():
         for r, zc in spec.z.items():
             bits = expand(Fraction(zc.b, a))
             assert bits.preperiod == ""
-            assert bits.period == zc.zbits.period
+            assert bits.period == zc.period
             assert (zc.b * fib(r) + 1) % a == 0
 
 
 @pytest.mark.parametrize("a, cycles", [(30, 4), (109, 12), (149, 15)])
 def test_synthesize_expands_once_per_cycle(monkeypatch, a, cycles):
     # Each cycle is walked once: one exact digit test per step, M steps.
+    # Its word is checked once, as the checks of EventuallyPeriodicBits are
+    # invariant under rotation, and each period is a rotation of a checked
+    # word.
     calls = []
+    checked = []
 
     def counting_sign_of(u, v):
         calls.append((u, v))
         return sign_of(u, v)
 
+    def counting_bits(pre, per):
+        checked.append(per)
+        return EventuallyPeriodicBits(pre, per)
+
     monkeypatch.setattr(zeckinv.pattern, "sign_of", counting_sign_of)
+    monkeypatch.setattr(zeckinv.pattern, "EventuallyPeriodicBits", counting_bits)
     spec = synthesize(a)
-    periods = [zc.zbits.period for zc in spec.z.values()]
+    periods = [zc.period for zc in spec.z.values()]
     rotation_classes = {min(p[k:] + p[:k] for k in range(len(p))) for p in periods}
     assert len(spec.z) > cycles
     assert len(rotation_classes) == cycles
     assert len(calls) == cycles * spec.M
+    assert len(checked) == cycles
+    assert all(any(p in w + w for w in checked) for p in periods)
 
 
 def _flipped_sign_of(step):
@@ -326,7 +337,7 @@ def test_synthesize_refuses_period_other_than_pisano(monkeypatch, a):
     # Flipping the second digit test puts the walk off its orbit; for these
     # a it is not back at (b, 0) after M = pi(a) steps.
     monkeypatch.setattr(zeckinv.pattern, "sign_of", _flipped_sign_of(1))
-    m = pisano(a).pi
+    m = pisano(a)
     with pytest.raises(SynthesisError, match=rf"/{a} does not close after M = {m} steps$"):
         synthesize(a)
 
@@ -437,7 +448,7 @@ def test_pattern_spec_derives_ell_and_tail_period():
     ids=["junction", "inner"],
 )
 def test_junction_scan_refuses_adjacent_ones(spec2, tail):
-    assert spec2.z[2].zbits.period[(8 - spec2.i0 - 1) % 3] == "1"
+    assert spec2.z[2].period[(8 - spec2.i0 - 1) % 3] == "1"
     with pytest.raises(SynthesisError, match="11"):
         _junction_scan(dataclasses.replace(spec2, tail=tail))
 
@@ -457,7 +468,7 @@ def test_splice_value_spells_the_pattern(a):
         checked += 1
         v = splice_value(spec, n)
         bits = expand(v)
-        zbits = spec.z[n % spec.M].zbits
+        zbits = EventuallyPeriodicBits("", spec.z[n % spec.M].period)
         # High layer: stream digits 1..n-i0 are exactly the z digits.
         for j in range(1, n - spec.i0 + 1):
             assert digit_at(bits, j) == digit_at(zbits, j), (a, n, j)
