@@ -6,11 +6,12 @@ requirement, and the paper's "for every fixed a" claim, over a range
 wider than the tests cover.  For each a it synthesizes the spec, verifies
 it against the big-integer oracle on [n0, n0 + 2M], and writes one row
 
-    {"a", "M", "z", "cycles", "checked", "mismatches"}
+    {"a", "M", "i0", "z", "cycles", "checked", "mismatches"}
 
-to tests/data/period_sweep.json, where "z" is the number of admissible
-residues and "cycles" the number of digit-orbit cycles their b_r/a lie
-on.  A tier-1 test re-checks a seeded sample of the rows.
+to tests/data/period_sweep.json, where "i0" is the lowest position of
+the z part (n0 = i0 + 1, so the window starts at the first n served),
+"z" is the number of admissible residues and "cycles" the number of
+digit-orbit cycles their b_r/a lie on.  A tier-1 test re-checks a seeded sample of the rows.
 
 Usage, from the repository root (two worker processes):
 
@@ -58,6 +59,7 @@ def row(a: int) -> dict[str, int]:
     return {
         "a": a,
         "M": spec.M,
+        "i0": spec.i0,
         "z": len(spec.z),
         "cycles": cycle_count(spec),
         "checked": report.checked,

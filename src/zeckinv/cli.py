@@ -26,6 +26,7 @@ from .errors import (
 from .inverse import inverse_closed, inverse_oracle
 from .pattern import (
     _fib_table,
+    _i0,
     evaluate,
     load_pattern,
     matches_oracle,
@@ -89,23 +90,20 @@ def cmd_inverse(args: argparse.Namespace) -> int:
         value = inverse_closed(a, n).value
         rep = encode(value)
     else:
-        spec = synthesize(a) if a >= 2 else None
-        if method == "pattern":
-            if spec is None or n < spec.n0:
-                raise DomainError(
-                    f"pattern method needs a >= 2 and n >= n0, got a={a}, n={n}"
-                )
-            rep = evaluate(spec, n)
+        # n0 = i0 + 1 depends on a alone, so no synthesis runs below it.
+        use_pattern = a >= 2 and n > _i0(a)
+        if method == "pattern" and not use_pattern:
+            raise DomainError(
+                f"pattern method needs a >= 2 and n >= n0, got a={a}, n={n}"
+            )
+        if use_pattern:
+            rep = evaluate(synthesize(a), n)
             value = decode(rep)
-        else:  # auto
-            if spec is not None and n >= spec.n0:
-                rep = evaluate(spec, n)
-                value = decode(rep)
-                method = "pattern"
-            else:
-                value = inverse_closed(a, n).value
-                rep = encode(value)
-                method = "closed"
+            method = "pattern"
+        else:
+            value = inverse_closed(a, n).value
+            rep = encode(value)
+            method = "closed"
 
     cross_checked = False
     if args.debug:

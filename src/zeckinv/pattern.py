@@ -5,15 +5,15 @@ into two periodic layers:
 
 * high digits: position i in [i0, n-1] carries z_{n-i}, where z is the
   purely periodic digit expansion of x_r = b_r/a and r = n mod M with
-  M = pi(a) — so the top of the representation is a fixed word sliding
+  M = pi(a) -- so the top of the representation is a fixed word sliding
   with n;
 * low digits: positions i0-1 down to 1 form a tail word that depends
   only on r = n mod M.
 
 Every digit period of x_r has length M (see ``_digit_cycles``), so a
 spec is fixed by a, M, the digit periods and the tail words: ``ell`` and
-``tail_period`` are both M, i0 = M + 3, and n0 = i0 + 1.  The tail word
-spells the remainder
+``tail_period`` are both M, i0 = c(a) = ceil(log_phi a) + 4 (see
+``_i0``), and n0 = i0 + 1.  The tail word spells the remainder
 R(n) = (a^-1 mod F_n) - sum_{i=i0}^{n-1} z_{n-i} F_i, which has a closed
 form.  With Tr(u + v*phi) = 2u + v, F_i = Tr(phi^i / sqrt5),
 a^-1 mod F_n = (b_r F_n + 1)/a and b_r/a = sum_j z_j phi^-j,
@@ -21,10 +21,48 @@ a^-1 mod F_n = (b_r F_n + 1)/a and b_r/a = sum_j z_j phi^-j,
     R(n) = 1/a + Tr(phi^i0 * T^(n-i0)(x_r) / sqrt5)
          = (1 + p_k F_i0 + q_k F_(i0+1)) / a,   k = (r - i0) mod M,
 
-where T is the digit map and T^k(x_r) = (p_k + q_k*phi)/a is the k-th
-state of the digit orbit of x_r.  So every tail value is read off the
-orbit exactly, one per residue, and synthesis runs on integer walks
-alone: the digits, the orbit states and the residues b_r.
+for any i0 < n, where T is the digit map and T^k(x_r) = (p_k + q_k*phi)/a
+is the k-th state of the digit orbit of x_r.  So every tail value is read
+off the orbit exactly, one per residue, and synthesis runs on integer
+walks alone: the digits, the orbit states and the residues b_r.
+
+Why i0 = c, the smallest i with phi^i > a*phi^4, suffices for every
+n > c.  Write c = i0, psi = -1/phi, y' for the conjugate of y in Q(phi),
+and x = T^k(x_r) = (p + q*phi)/a with k = n - c, so that
+sqrt5 * R = sqrt5/a + phi^c x - psi^c x'.
+
+* x' is in (-phi, 1).  The orbit is purely periodic, so
+  x = T^(k+tM)(x_r) = phi^(k+tM) x_r - sum_j z_j phi^(k+tM-j) for every
+  t; conjugating (x_r is rational) and letting t grow gives
+  x' = -sum_{i>=0} psi^i z_(k-i), the indices of z taken mod M.  The
+  word has no "11" and is not alternating (a greedy expansion never
+  ends in (10)^inf), so the sum lies strictly between
+  -(phi^-1 + phi^-3 + ...) = -1 and 1 + phi^-2 + ... = phi.
+* R < F_c.  alpha = a - p - q*phi = a(1 - x) is a nonzero element of
+  Z[phi] with alpha' = a(1 - x') > 0, so its norm
+  N(alpha) = a^2 (1-x)(1-x') is an integer >= 1 and
+  1 - x >= 1/(a^2 (1-x')) > 1/(a^2 phi^2).  As phi^c > a phi^4 and
+  phi^-c < phi^-4/a,
+      sqrt5 (F_c - R) = phi^c (1-x) - psi^c (1-x') - sqrt5/a
+                      > (phi^2 - phi^-2 - sqrt5)/a = 0,
+  using phi^2 - phi^-2 = sqrt5.  So ``_greedy_word`` spells R below c.
+* No "11" at the junction.  If the z digit at position c is 1, then
+  x = phi*T^(k-1)(x_r) - 1 < 1/phi.  The same argument on
+  beta = a - q - (p+q)*phi = a(1 - phi x), whose conjugate
+  a(1 - psi x') lies in (0, a*phi), gives 1 - phi x > 1/(a^2 phi) and
+      sqrt5 (F_(c-1) - R) = phi^(c-1)(1 - phi x) - psi^(c-1)(1 - psi x')
+                            - sqrt5/a > 0,
+  so R < F_(c-1) and position c-1 holds 0.
+* R >= 0, as phi^c x >= 0 and |psi^c x'| < phi^-c phi < phi^-3/a, so
+  sqrt5 * R > (sqrt5 - phi^-3)/a > 0.
+* c <= M + 3, so every n the earlier layout i0 = M + 3 served is still
+  served.  pi(a) >= 3, with pi(a) = 3 only for a = 2, where
+  c = 6 = M + 3.  For M >= 4, F_(M-1) = F_(M+1) - F_M = 1 (mod a) and
+  F_(M-1) > 1, so phi^(M-2) >= F_(M-1) > a and c <= M + 2.
+
+Synthesis still checks each of these at run time: the tail value is an
+integer, ``_greedy_word`` refuses a value >= F_c, the value is
+cross-checked against the oracle, and ``_junction_scan`` refuses "11".
 """
 
 from __future__ import annotations
@@ -35,6 +73,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, islice
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -72,9 +111,19 @@ class ZClass:
     period: str
 
 
-def _i0(m_per: int) -> int:
-    """The lowest position of the z part, i0 = M + 3 (see ``PatternSpec``)."""
-    return m_per + 3
+@lru_cache(maxsize=1024)
+def _i0(a: int) -> int:
+    """The lowest position of the z part, i0 = c(a) = ceil(log_phi a) + 4.
+
+    c is the smallest i with phi^i > a*phi^4 (see the module docstring).
+    phi^k = L_k - psi^k with Lucas numbers L_k and |psi^k| < 1 for k >= 1,
+    so phi^k > a exactly when L_k > a, or L_k = a and k is odd.  Cached
+    per a, as ``evaluate`` reads it on every call.
+    """
+    k, lk, lk1 = 1, 1, 3  # k, L_k, L_(k+1)
+    while lk < a or (lk == a and k % 2 == 0):
+        k, lk, lk1 = k + 1, lk1, lk + lk1
+    return k + 4
 
 
 @dataclass(frozen=True)
@@ -84,10 +133,11 @@ class PatternSpec:
     ``z`` maps each admissible residue r mod M (gcd(a, F_r) = 1) to its
     ZClass, whose digit period word has length M; ``tail`` maps the same
     residues to the low-digit word over positions i0-1 down to 1.  Every
-    other quantity follows from M and ``z`` and is a read-only property:
-    ``ell`` (the lcm of the digit period lengths) and ``tail_period`` are
-    both M, i0 = M + 3, n0 = i0 + 1, and ``inadmissible`` holds the
-    residues of [0, M) absent from ``z``.
+    other quantity follows from a, M and ``z`` and is a read-only
+    property: ``ell`` (the lcm of the digit period lengths) and
+    ``tail_period`` are both M, i0 = ceil(log_phi a) + 4 (``_i0``),
+    n0 = i0 + 1, and ``inadmissible`` holds the residues of [0, M) absent
+    from ``z``.
     """
 
     a: int
@@ -109,16 +159,11 @@ class PatternSpec:
 
     @property
     def i0(self) -> int:
-        return _i0(self.M)
+        return _i0(self.a)
 
     @property
     def n0(self) -> int:
-        """The first n the pattern covers, i0 + 1.
-
-        n0 = max(i0 + 1, k) for the smallest k with phi^k >= 2a, and
-        k <= i0: phi^(M+3) > F_(M+3) >= 2 F_(M+1) > 2a, as
-        F_(M+1) = 1 mod a and F_(M+1) > 1.
-        """
+        """The first n the pattern covers, i0 + 1."""
         return self.i0 + 1
 
     @property
@@ -307,7 +352,7 @@ def synthesize(a: int) -> PatternSpec:
                 EventuallyPeriodicBits("", per)
             except DomainError as exc:
                 raise SynthesisError(f"digits of b/a = {b}/{a}: {exc}") from exc
-    i0 = _i0(m_per)
+    i0 = _i0(a)
     n0 = i0 + 1  # PatternSpec.n0; every n < n0 + M has n - i0 <= M
 
     # One table for the tail values, their words and the cross-check,
@@ -356,8 +401,9 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     the cost is C-level passes of O(M + i0) plus O(number of indices), and
     nothing is kept on the spec.
     """
-    if n < spec.n0:
-        raise DomainError(f"need n >= {spec.n0}, got {n}")
+    i0 = spec.i0
+    if n <= i0:
+        raise DomainError(f"need n >= {i0 + 1}, got {n}")
     r = n % spec.M
     zc = spec.z.get(r)
     if zc is None:
@@ -366,7 +412,6 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     per = zc.period
     lr = len(per)
     bits = _bits(per)
-    i0 = spec.i0
 
     # Writing j = n - i, digit j is per[(j-1) mod lr]; indices are emitted
     # in decreasing order.  Full block k covers positions n-1-k*lr down to
@@ -478,10 +523,6 @@ def to_json_dict(spec: PatternSpec) -> dict:
     return {
         "a": spec.a,
         "M": spec.M,
-        "ell": spec.ell,
-        "i0": spec.i0,
-        "n0": spec.n0,
-        "tail_period": spec.tail_period,
         "z": {
             str(r): {"b": zc.b, "period_bits": zc.period}
             for r, zc in sorted(spec.z.items())
@@ -507,19 +548,17 @@ def _json_key(key: object) -> int:
 def from_json_dict(data: dict) -> PatternSpec:
     """Load a spec, which must be exactly the canonical spec of its ``a``.
 
-    Cheap checks come first: field types, canonical table keys, table
-    sizes, M == pi(a) by one walk that the file's M bounds (see
-    ``_check_residues``), and ell == tail_period == M, i0 == M + 3.  Then ``synthesize(a)`` runs
-    and the data must equal its JSON form; otherwise the first differing
-    field, and for ``z`` and ``tail`` the first differing key, is named.
-    So a file loads if and only if it is the canonical spec, and loading
-    costs one synthesis.
+    The file holds only a, M, z and tail.  Cheap checks come first:
+    field types, canonical table keys, equal table sizes, and M == pi(a)
+    by one walk that the file's M bounds (see ``_check_residues``).  Then
+    ``synthesize(a)`` runs and the data must equal its JSON form;
+    otherwise the first differing field (an extra one included), and for
+    ``z`` and ``tail`` the first differing key, is named.  So a file loads
+    if and only if it is the canonical spec, and loading costs one
+    synthesis.
     """
     try:
-        a, m_per, ell, i0, _, tail_period = (
-            _json_int(data[name], name)
-            for name in ("a", "M", "ell", "i0", "n0", "tail_period")
-        )
+        a, m_per = (_json_int(data[name], name) for name in ("a", "M"))
         residues = set()
         for key, entry in data["z"].items():
             residues.add(_json_key(key))
@@ -532,13 +571,9 @@ def from_json_dict(data: dict) -> PatternSpec:
 
     if a < 2 or m_per < 1 or not residues:
         raise DomainError("need a >= 2, M >= 1 and at least one admissible residue")
-    if tail_period != m_per or len(tail) != len(residues):
-        raise DomainError("tail_period does not match M and the tail table size")
+    if len(tail) != len(residues):
+        raise DomainError("the tail table is not the size of the z table")
     _check_residues(a, m_per, residues)
-    if ell != m_per:
-        raise DomainError(f"ell={ell} is not M={m_per}")
-    if i0 != _i0(m_per):
-        raise DomainError(f"i0={i0} is not M + 3 = {_i0(m_per)}")
 
     spec = synthesize(a)
     want = to_json_dict(spec)
@@ -580,9 +615,12 @@ def _check_residues(a: int, m_per: int, residues: set[int]) -> None:
 
 def save_pattern(spec: PatternSpec, path: str) -> None:
     """Write the canonical JSON form (stable key order, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(to_json_dict(spec), sort_keys=True, indent=2))
-        fh.write("\n")
+    text = json.dumps(to_json_dict(spec), sort_keys=True, indent=2) + "\n"
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write pattern file {path!r}: {exc}") from exc
 
 
 def load_pattern(path: str) -> PatternSpec:

@@ -67,6 +67,37 @@ def test_inverse_closed_at_huge_a_skips_the_pisano_walk(capsys, monkeypatch):
     assert data["method"] == "closed"
 
 
+def _no_synthesis(a):
+    raise AssertionError(f"synthesize({a}) called")
+
+
+def test_inverse_below_n0_does_not_synthesize(capsys, monkeypatch):
+    # n0 = i0 + 1 = 15 for a = 100 depends on a alone: below it, auto
+    # answers by the closed form and --method pattern is refused, both
+    # without a synthesis.
+    monkeypatch.setattr(zeckinv.cli, "synthesize", _no_synthesis)
+    for n in (7, 14):  # admissible, <= i0 = 14
+        code, out = run(capsys, "inverse", "100", str(n), "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["method"] == "closed"
+        assert data["value"] == inverse_oracle(100, n)
+    code = main(["inverse", "100", "14", "--method", "pattern"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_inverse_pattern_serves_n_below_the_pisano_period(capsys):
+    # a = 1000 has M = 1500 and i0 = 19, so n = 101 is served by the
+    # pattern, well below M + 4.
+    code, out = run(capsys, "inverse", "1000", "101", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["method"] == "pattern"
+    assert data["value"] == inverse_oracle(1000, 101)
+
+
 def test_inverse_json(capsys):
     code, out = run(capsys, "inverse", "2", "8", "--json")
     assert code == 0
@@ -119,6 +150,16 @@ def test_pattern_out_file(tmp_path, capsys):
     code, _ = run(capsys, "pattern", "7", "--out", str(path))
     assert code == 0
     assert load_pattern(str(path)) == synthesize(7)
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_pattern_out_unwritable(tmp_path, capsys, where):
+    path = tmp_path / "absent" / "p.json" if where == "missing-directory" else tmp_path
+    code = main(["pattern", "2", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "cannot write pattern file" in captured.err
 
 
 def test_verify_text(capsys):

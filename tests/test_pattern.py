@@ -1,5 +1,6 @@
 """Tests for pattern synthesis, evaluation, verification and serialization."""
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -40,7 +41,7 @@ from zeckinv import (
     verify,
 )
 from zeckinv.cli import _a2_expected_indices
-from zeckinv.pattern import _fib_table, _greedy_word, _junction_scan
+from zeckinv.pattern import _fib_table, _greedy_word, _i0, _junction_scan
 from zeckinv.qphi import sign_of
 
 
@@ -131,6 +132,19 @@ def test_evaluate_matches_oracle_many(spec3, spec7):
 @functools.lru_cache(maxsize=None)
 def _spec(a):
     return synthesize(a)
+
+
+def test_evaluate_serves_every_n_above_c():
+    # The layout with i0 = M + 3 served only n >= M + 4; every admissible
+    # n in [c + 1, M + 3] is newly served.
+    newly = 0
+    for a in range(2, 61):
+        spec = _spec(a)
+        for n in range(spec.i0 + 1, spec.M + 4):
+            if spec.is_admissible(n):
+                newly += 1
+                assert evaluate(spec, n) == encode(inverse_oracle(a, n)), (a, n)
+    assert newly > 0
 
 
 # deadline=None: the first example for each a synthesizes its spec.
@@ -427,14 +441,31 @@ def test_greedy_word_refuses_f_i0(i0):
         _greedy_word(fib(i0), i0, fibs)
 
 
+def _c(a):
+    """The smallest i with phi^i > a*phi^4, by exact sign tests:
+    phi^i - a*phi^4 = (F_(i-1) - 2a) + (F_i - 3a)*phi."""
+    i = 1
+    while sign_of(fib(i - 1) - 2 * a, fib(i) - 3 * a) <= 0:
+        i += 1
+    return i
+
+
+def test_i0_is_ceil_log_phi_a_plus_4():
+    # Every a in [2, 1000] (Lucas numbers, where the parity decides,
+    # included) and a few large a.
+    for a in [*range(2, 1001), 10**6, 10**12 + 39, 2**200 + 1]:
+        assert _i0(a) == _c(a), a
+    assert [_i0(a) for a in (2, 3, 4, 100, 2503)] == [6, 7, 7, 14, 21]
+
+
 def test_pattern_spec_derives_ell_and_tail_period():
     names = [f.name for f in dataclasses.fields(zeckinv.PatternSpec)]
     assert names == ["a", "M", "z", "tail"]
     for a in (2, 3, 30):
         spec = _spec(a)
         assert spec.ell == spec.tail_period == spec.M
-        assert spec.i0 == spec.M + 3
-        assert spec.n0 == spec.M + 4
+        assert spec.i0 == _c(a)
+        assert spec.n0 == spec.i0 + 1
         assert spec.inadmissible == set(range(spec.M)) - set(spec.z)
         assert set(spec.tail) == set(spec.z)
 
@@ -496,6 +527,13 @@ def test_json_round_trip(spec3):
     assert s1 == s2
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_save_pattern_refuses_unwritable_path(tmp_path, spec2, where):
+    path = tmp_path / "absent" / "p.json" if where == "missing-directory" else tmp_path
+    with pytest.raises(DomainError, match="cannot write pattern file"):
+        save_pattern(spec2, str(path))
+
+
 def test_file_round_trip(tmp_path, spec7):
     path = tmp_path / "pattern.json"
     save_pattern(spec7, str(path))
@@ -514,12 +552,13 @@ def tampered(spec, **changes):
 
 
 def test_from_json_rejects_structural_damage(spec2):
+    # ell, i0 and tail_period are derived, so a file carrying one is refused.
     with pytest.raises(DomainError):
         from_json_dict(tampered(spec2, ell=6))
     with pytest.raises(DomainError):
         from_json_dict(tampered(spec2, i0=7))
     with pytest.raises(DomainError):
-        from_json_dict(tampered(spec2, tail_period=4))  # not M
+        from_json_dict(tampered(spec2, tail_period=4))
     data = to_json_dict(spec2)
     del data["M"]
     with pytest.raises(DomainError):
@@ -574,9 +613,13 @@ def test_from_json_rejects_wrong_tail_value(spec2):
 
 
 def test_from_json_rejects_extra_field(spec2):
-    for extra in ("x", None):
-        with pytest.raises(DomainError, match="'comment'"):
-            from_json_dict(tampered(spec2, comment=extra))
+    # The derived fields that earlier files carried are extra fields too,
+    # even with the values a spec derives.
+    assert set(to_json_dict(spec2)) == {"a", "M", "z", "tail"}
+    for name in ("comment", "ell", "i0", "n0", "tail_period"):
+        for extra in ("x", None, getattr(spec2, name, 3)):
+            with pytest.raises(DomainError, match=f"'{name}'"):
+                from_json_dict(tampered(spec2, **{name: extra}))
 
 
 def test_verify_reports_content_damage(spec2):
@@ -654,7 +697,9 @@ def test_canonical_json_matches_golden_hashes_beyond_100():
 
 @pytest.mark.parametrize("name", ["a", "M", "ell", "i0", "n0", "tail_period"])
 def test_from_json_rejects_non_integer_fields(spec2, name):
-    good = to_json_dict(spec2)[name]
+    # ell, i0, n0 and tail_period are no longer fields: a file carrying
+    # one is refused as carrying an extra field, whatever its value.
+    good = getattr(spec2, name)
     for bad in (good + 0.9, float(good), str(good), True):
         with pytest.raises(DomainError):
             from_json_dict(tampered(spec2, **{name: bad}))
@@ -687,6 +732,8 @@ def test_from_json_rejects_coerced_entries(spec2):
 
 
 def test_from_json_rejects_huge_tail_period_quickly(spec2):
+    # tail_period is an extra field; the file is refused after one
+    # synthesis of a = 2, whatever the value.
     text = json.dumps(tampered(spec2, tail_period=3 * 10**6), sort_keys=True, indent=2)
     assert len(text) < 400
     t0 = time.perf_counter()
@@ -697,14 +744,13 @@ def test_from_json_rejects_huge_tail_period_quickly(spec2):
 
 @pytest.mark.parametrize("m_per", [3, 10**12])
 def test_from_json_bounds_the_residue_walk_by_m(m_per):
-    # Each file agrees with itself in every field derived from M, so only
+    # Each file has the canonical fields and equal table sizes, so only
     # the walk of F_r mod a, which the file's M bounds, can refuse it: at
     # its end for M = 3 (F_3 mod a is not 0), at r = 3 for M = 10^12 (F_3
     # = 2 is a unit mod the odd a, but 3 is not a listed residue).
     a = 10**12 + 39
     entry = {"b": 1, "period_bits": "010"}
-    data = {"a": a, "M": m_per, "ell": m_per, "i0": m_per + 3, "n0": m_per + 4,
-            "tail_period": m_per, "z": {"1": entry, "2": entry},
+    data = {"a": a, "M": m_per, "z": {"1": entry, "2": entry},
             "tail": {"1": "0", "2": "0"}}
     t0 = time.perf_counter()
     with pytest.raises(DomainError):
@@ -716,43 +762,34 @@ def test_from_json_rejects_multiple_of_pisano_period(spec2):
     # a = 2 has Pisano period 3; this file repeats the real z and tail
     # tables over M = 6, so every other invariant holds.
     data = to_json_dict(spec2)
-    data["M"] = data["tail_period"] = 6
+    data["M"] = 6
     data["z"] = {str(r): data["z"][str(r % 3)] for r in (1, 2, 4, 5)}
     data["tail"] = {str(c): data["tail"][str(c % 3)] for c in (1, 2, 4, 5)}
     with pytest.raises(DomainError, match="Pisano"):
         from_json_dict(data)
 
 
-def test_from_json_refuses_tail_period_other_than_m_before_synthesis(spec2, monkeypatch):
-    # The real z and tail tables of a = 2 repeated over tail_period = 6:
-    # M is right and the tail table has tail_period / M entries per residue.
+def test_from_json_refuses_tail_table_sized_unlike_z_before_synthesis(spec2, monkeypatch):
+    # The real z table of a = 2 and its tail table repeated over 6
+    # residues: M is right, but the tail table has two entries per residue.
     def no_synthesis(a):
         raise AssertionError("synthesize ran")
 
     monkeypatch.setattr(zeckinv.pattern, "synthesize", no_synthesis)
     data = to_json_dict(spec2)
-    data["tail_period"] = 6
     data["tail"] = {str(c): data["tail"][str(c % 3)] for c in (1, 2, 4, 5)}
-    with pytest.raises(DomainError, match="tail_period"):
+    with pytest.raises(DomainError, match="tail table"):
         from_json_dict(data)
-
-
-@pytest.mark.parametrize("name, value", [("ell", 6), ("i0", 7)])
-def test_from_json_refuses_wrong_ell_or_i0_before_synthesis(spec2, monkeypatch, name, value):
-    def no_synthesis(a):
-        raise AssertionError("synthesize ran")
-
-    monkeypatch.setattr(zeckinv.pattern, "synthesize", no_synthesis)
-    with pytest.raises(DomainError, match=f"^{name}={value} is not M"):
-        from_json_dict(tampered(spec2, **{name: value}))
 
 
 # --- from_json_dict fuzzing -------------------------------------------------------
 
+# Each drawn value is a fresh copy: a later mutation may edit a drawn
+# list or dict in place, and must not edit the sampled one.
 _ODD_VALUES = st.sampled_from(
     [None, True, False, 0, 1, -1, -(10**30), 2**64, 10**100, 0.5, 3.0, "", "1",
      "010", [], [1], {}, {"b": 1}]
-)
+).map(copy.deepcopy)
 _ODD_KEYS = st.sampled_from(["01", " 1", "+1", "-1", "1.0", "x", "", "9" * 40])
 
 

@@ -25,6 +25,16 @@ def test_sweep_covers_every_a_without_mismatch():
         assert 1 <= r["cycles"] <= r["z"] < r["M"], a
 
 
+def test_i0_never_exceeds_m_plus_3():
+    # i0 = ceil(log_phi a) + 4 from a alone, against the recorded M: no n
+    # that the layout i0 = M + 3 served is lost, and only a = 2 keeps it.
+    for a, r in ROWS.items():
+        i0 = zeckinv.pattern._i0(a)
+        assert r["i0"] == i0, a
+        assert i0 <= r["M"] + 3, a
+        assert (i0 == r["M"] + 3) == (a == 2), a
+
+
 @pytest.mark.parametrize("a", sorted(random.Random(7).sample(range(2, 301), 24)))
 def test_sweep_rows_recompute(monkeypatch, a):
     # The cycle count is also checked against the number of exact digit
