@@ -114,48 +114,72 @@ def encode(n: int) -> ZeckendorfRep:
 
 
 def decode(rep: ZeckendorfRep) -> int:
-    """Sum of F_i over the representation's indices (validates first).
+    """Sum of F_i over the representation's indices, checking canonicity.
 
-    Divide and conquer over blocks of digit positions.  A block of width w
-    based at position s carries the pair
+    One pass over the indices both checks and sums: each index must lie at
+    least 2 below the one before, and the last must be >= 2.  Any failure
+    (or an empty set) is handed to _check_indices, so the InvalidRep raised
+    is the one ZeckendorfRep(indices) raises.
+
+    The sum is divide and conquer over blocks of digit positions.  A block
+    of width w based at position s carries the pair
 
         (A, B) = (sum_j d_(s+j) F_j,  sum_j d_(s+j) F_(j+1)),   0 <= j < w,
 
     relative to its base.  Leaves are blocks of _LEAF positions, summed from
     a small table of packed pairs.  A block of width k (a power of two)
     joins the block above it by the shift identity
-    F_(k+j) = F_k F_(j+1) + F_(k-1) F_j:
+    F_(k+j) = F_k F_(j+1) + F_(k-1) F_j.  With x = F_k, y = F_(k-1) and
+    x + y = F_(k+1), the join takes three products, y A_hi being shared:
 
-        A = A_lo + F_k B_hi + F_(k-1) A_hi,
-        B = B_lo + F_(k+1) B_hi + F_k A_hi.
+        A = A_lo + x B_hi + y A_hi,
+        B = B_lo + (x + y)(A_hi + B_hi) - y A_hi.
 
-    The root is based at position 0, so its A is the value.  The Fibonacci
-    numbers of the split widths are computed once per call by doubling, so
-    for top index n the cost is O(M(n) log n), M(n) the cost of multiplying
-    n-bit integers, plus one table addition per index; adding F_i position
-    by position would cost Theta(n^2).
+    Levels are joined while more than two blocks remain.  The root is
+    based at position 0, so its A is the value; the last join computes only
+    that A, two products.  The Fibonacci numbers of the split widths are
+    doubled once per level, so for top index n the cost is O(M(n) log n),
+    M(n) the cost of multiplying n-bit integers, plus one table addition
+    per index; adding F_i position by position would cost Theta(n^2).
     """
     indices = rep.indices
-    _check_indices(indices, 2)
-    sums = [0] * ((indices[0] >> _LEAF_BITS) + 1)
-    for i in indices:
-        sums[i >> _LEAF_BITS] += _LEAF_PAIRS[i & (_LEAF - 1)]
+    canonical = False
+    if indices:
+        table, shift, mask = _LEAF_PAIRS, _LEAF_BITS, _LEAF - 1
+        sums = [0] * ((indices[0] >> shift) + 1)
+        prev = indices[0] + 2
+        try:
+            for i in indices:
+                if prev - i < 2:
+                    break
+                sums[i >> shift] += table[i & mask]
+                prev = i
+            else:
+                canonical = prev >= 2
+        except IndexError:
+            # A negative index can pass the gap test and fall outside sums;
+            # such a set is not canonical, so _check_indices raises below.
+            pass
+    if not canonical:
+        _check_indices(indices, 2)
     low = (1 << _FIELD) - 1
     pairs = [(s & low, s >> _FIELD) for s in sums]
     # (F_(k-1), F_k) for the width k of the blocks joined at this level.
-    f_km1, f_k = _FIBS[_LEAF - 1], _FIBS[_LEAF]
-    while len(pairs) > 1:
-        f_k1 = f_km1 + f_k
-        joined = [
-            (a0 + f_k * b1 + f_km1 * a1, b0 + f_k1 * b1 + f_k * a1)
-            for (a0, b0), (a1, b1) in zip(pairs[::2], pairs[1::2])
-        ]
+    y, x = _FIBS[_LEAF - 1], _FIBS[_LEAF]
+    while len(pairs) > 2:
+        s = x + y
+        joined = []
+        for (a0, b0), (a1, b1) in zip(pairs[::2], pairs[1::2]):
+            ya = y * a1
+            joined.append((a0 + x * b1 + ya, b0 + s * (a1 + b1) - ya))
         if len(pairs) % 2:
             joined.append(pairs[-1])
         pairs = joined
-        if len(pairs) > 1:
-            # (F_(k-1), F_k) -> (F_(2k-1), F_(2k))
-            f_km1, f_k = f_km1 * f_km1 + f_k * f_k, f_k * (f_km1 + f_k1)
+        # (F_(k-1), F_k) -> (F_(2k-1), F_(2k))
+        y, x = y * y + x * x, x * (y + s)
+    if len(pairs) == 2:
+        (a0, _), (a1, b1) = pairs
+        return a0 + x * b1 + y * a1
     return pairs[0][0]
 
 

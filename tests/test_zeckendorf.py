@@ -11,6 +11,7 @@ from zeckinv import (
     decode,
     encode,
     from_bit_string,
+    matches_oracle,
     normalize_index_one,
     to_bit_string,
 )
@@ -55,6 +56,36 @@ def test_invalid_reps():
         ZeckendorfRep([4, 1])  # index below 2
     with pytest.raises(InvalidRep):
         ZeckendorfRep([])
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [(3, 2), (5, 5), (3, 5), (4, 1), (9, -3), (), (9, -1000, 5), (-300,), (1,)],
+)
+def test_decode_checks_canonicity_like_the_constructor(indices):
+    # decode checks while it sums; a failure must read as the constructor's.
+    with pytest.raises(InvalidRep) as built:
+        ZeckendorfRep(indices)
+    rep = ZeckendorfRep(indices, _validate=False)
+    with pytest.raises(InvalidRep) as decoded:
+        decode(rep)
+    assert str(decoded.value) == str(built.value)
+    assert not matches_oracle(rep, 2, 8)
+
+
+# Top indices on and next to the first nine leaf edges: odd block counts at
+# each level, a carried last block and a two-block root.
+LEAF_EDGE_TOPS = [256 * m + d for m in range(1, 10) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("top", LEAF_EDGE_TOPS)
+def test_decode_at_leaf_edges(top):
+    dense = range(top, 1, -2)
+    # top, then both neighbours of every leaf edge below it
+    edges = {256 * j + e for j in range(top // 256 + 1) for e in (-1, 1)}
+    sparse = [top, *sorted((p for p in edges if 2 <= p <= top - 2), reverse=True)]
+    for indices in (dense, sparse, [top]):
+        assert decode(ZeckendorfRep(indices)) == sum(FIBS[i] for i in indices)
 
 
 def test_round_trip():
