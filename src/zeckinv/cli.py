@@ -27,13 +27,13 @@ from .inverse import inverse_closed, inverse_oracle
 from .pattern import (
     _fib_table,
     _i0,
+    _pattern_text,
     evaluate,
     load_pattern,
     matches_oracle,
     report_to_json_dict,
     save_pattern,
     synthesize,
-    to_json_dict,
     verify,
 )
 from .qphi import QPhi, parse_qphi
@@ -57,11 +57,10 @@ def _rep_text(value: int, rep) -> str:
 
 def cmd_pattern(args: argparse.Namespace) -> int:
     spec = synthesize(args.a)
-    data = to_json_dict(spec)
     if args.out:
         save_pattern(spec, args.out)
     if args.json:
-        _print_json(data)
+        sys.stdout.write(_pattern_text(spec))
     else:
         print(
             f"a={spec.a} M={spec.M} ell={spec.ell} i0={spec.i0} "

@@ -75,6 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, islice
+from json.encoder import encode_basestring_ascii as _esc
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -273,21 +274,25 @@ def _junction_scan(spec: "PatternSpec") -> None:
             )
 
 
-_Cycle = tuple[str, list[tuple[int, int]], int]  # see _digit_cycles
+# (per, qs, k): qs = [q_0, ..., q_M], so p_j = q_(j+1) - q_j; see _digit_cycles
+_Cycle = tuple[str, list[int], int]
 
 
 def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
     """Walk the digit-orbit cycle of b/a once for every b in ``wanted``.
 
-    Maps each b to (per, states, k): the digit word of the cycle as
-    walked from its first b, the orbit states (p, q) of (p + q*phi)/a in
-    that order, and the position k of (b, 0) in them.  So b/a has the
-    period per[k:] + per[:k] and its j-th orbit state is
-    states[(k + j) % M].  Every b on a cycle shares its ``per`` and
-    ``states``, and k = 0 exactly for the cycle's first b.  Each step is
-    the digit map of ``expand`` with den = a (b/a is reduced, as b is a
-    unit mod a): the digit d is 1 exactly when (q - a) + (p + q)*phi >= 0,
-    and the next state is (q - a*d, p + q).
+    Maps each b to (per, qs, k): the digit word of the cycle as walked
+    from its first b, the list qs = [q_0, ..., q_M] of the q parts of the
+    orbit states (p_j + q_j*phi)/a in that order, and the position k of
+    (b, 0) among them.  Each step is the digit map of ``expand`` with
+    den = a (b/a is reduced, as b is a unit mod a): the digit d is 1
+    exactly when (q - a) + (p + q)*phi >= 0, and the next state is
+    (q - a*d, p + q).  So q_(j+1) = p_j + q_j, and one int per step keeps
+    the whole orbit: state j is (p_j, q_j) = (q_(j+1) - q_j, q_j), with
+    q_M = q_0 = 0.  b/a has the period per[k:] + per[:k] and its j-th
+    orbit state is state (k + j) % M of the cycle.  Every b on a cycle
+    shares its ``per`` and ``qs``, and k = 0 exactly for the cycle's
+    first b.
 
     The walk from (b, 0) must be back there after M = ``m_per`` steps, or
     synthesis fails; so the period length L divides M.  M | L always
@@ -302,23 +307,23 @@ def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
         if b in cycles:
             continue
         digits = bytearray(m_per)
-        states: list[tuple[int, int]] = []
+        qs = [0]
         starts: list[tuple[int, int]] = []  # (b', k) for each wanted b' passed
         p, q = b, 0
         for j in range(m_per):
             if q == 0 and p in wanted:
                 starts.append((p, j))
-            states.append((p, q))
             d = sign_of(q - a, p + q) >= 0
             digits[j] = 48 + d  # "0" or "1"
             p, q = q - a * d, p + q
+            qs.append(q)
         if (p, q) != (b, 0):
             raise SynthesisError(
                 f"digit orbit of b/a = {b}/{a} does not close after M = {m_per} steps"
             )
         per = digits.decode()
         for b_on, k in starts:
-            cycles[b_on] = (per, states, k)
+            cycles[b_on] = (per, qs, k)
     return cycles
 
 
@@ -362,10 +367,12 @@ def synthesize(a: int) -> PatternSpec:
     z: dict[int, ZClass] = {}
     tail: dict[int, str] = {}
     for r, b in b_of.items():
-        per, states, offset = cycles[b]
+        per, qs, offset = cycles[b]
         per = per[offset:] + per[:offset]
         z[r] = ZClass(b, per)
-        p, q = states[(offset + r - i0) % m_per]
+        k = (offset + r - i0) % m_per
+        q = qs[k]
+        p = qs[k + 1] - q
         value, rest = divmod(1 + p * f_i0 + q * f_i1, a)
         n = n0 + (r - n0) % m_per
         if rest or value < 0:
@@ -531,6 +538,37 @@ def to_json_dict(spec: PatternSpec) -> dict:
     }
 
 
+def _pattern_text(spec: PatternSpec) -> str:
+    """The canonical text of ``spec``, in one pass.
+
+    Exactly ``json.dumps(to_json_dict(spec), sort_keys=True, indent=2)``
+    plus a newline: keys sorted as strings ("1" < "10" < "2"), a
+    two-space indent, ": " separators, strings escaped by
+    ``encode_basestring_ascii`` and integers in decimal.  ``json.dumps``
+    runs its pure-Python encoder whenever ``indent`` is set, so the text
+    is built here with f-strings and one join per table.
+    """
+    z = {str(r): zc for r, zc in spec.z.items()}
+    tail = {str(c): word for c, word in spec.tail.items()}
+    z_body = ",\n".join(
+        f"    {_esc(key)}: {{\n"
+        f'      "b": {z[key].b:d},\n'
+        f'      "period_bits": {_esc(z[key].period)}\n'
+        "    }"
+        for key in sorted(z)
+    )
+    tail_body = ",\n".join(f"    {_esc(key)}: {_esc(tail[key])}" for key in sorted(tail))
+    return (
+        f'{{\n  "M": {spec.M:d},\n  "a": {spec.a:d},\n'
+        f'  "tail": {_json_block(tail_body)},\n  "z": {_json_block(z_body)}\n}}\n'
+    )
+
+
+def _json_block(body: str) -> str:
+    """A table of ``_pattern_text`` around its entries; ``{}`` when empty."""
+    return f"{{\n{body}\n  }}" if body else "{}"
+
+
 def _json_int(value: object, name: str) -> int:
     """``value`` if it is a JSON integer; bools, floats and strings are refused."""
     if type(value) is not int:
@@ -614,8 +652,12 @@ def _check_residues(a: int, m_per: int, residues: set[int]) -> None:
 
 
 def save_pattern(spec: PatternSpec, path: str) -> None:
-    """Write the canonical JSON form (stable key order, trailing newline)."""
-    text = json.dumps(to_json_dict(spec), sort_keys=True, indent=2) + "\n"
+    """Write the canonical JSON form, ``_pattern_text``.
+
+    The whole text is built before the file is opened, so a spec that
+    cannot be written leaves no file behind.
+    """
+    text = _pattern_text(spec)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -152,6 +152,14 @@ def test_pattern_out_file(tmp_path, capsys):
     assert load_pattern(str(path)) == synthesize(7)
 
 
+def test_pattern_json_prints_the_file_bytes(tmp_path, capsys):
+    path = tmp_path / "p30.json"
+    code, out = run(capsys, "pattern", "30", "--json", "--out", str(path))
+    assert code == 0
+    text = json.dumps(to_json_dict(synthesize(30)), sort_keys=True, indent=2) + "\n"
+    assert out.encode() == path.read_bytes() == text.encode()
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_pattern_out_unwritable(tmp_path, capsys, where):
     path = tmp_path / "absent" / "p.json" if where == "missing-directory" else tmp_path

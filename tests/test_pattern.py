@@ -9,6 +9,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,9 @@ from zeckinv import (
     EventuallyPeriodicBits,
     InvalidRep,
     NotCoprime,
+    PatternSpec,
     SynthesisError,
+    ZClass,
     ZeckendorfRep,
     digit_at,
     encode,
@@ -41,7 +44,13 @@ from zeckinv import (
     verify,
 )
 from zeckinv.cli import _a2_expected_indices
-from zeckinv.pattern import _fib_table, _greedy_word, _i0, _junction_scan
+from zeckinv.pattern import (
+    _fib_table,
+    _greedy_word,
+    _i0,
+    _junction_scan,
+    _pattern_text,
+)
 from zeckinv.qphi import sign_of
 
 
@@ -332,6 +341,20 @@ def test_synthesize_expands_once_per_cycle(monkeypatch, a, cycles):
     assert len(calls) == cycles * spec.M
     assert len(checked) == cycles
     assert all(any(p in w + w for w in checked) for p in periods)
+
+
+def test_synthesize_keeps_one_int_per_orbit_step():
+    # a = 250 has M = 1500 and 800 residues on 25 cycles of 1500 states.
+    # One int per step peaks near 2 MiB; a (p, q) tuple per step passes
+    # 4 MiB.
+    tracemalloc.start()
+    try:
+        spec = synthesize(250)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.M == 1500
+    assert peak < 3 * 2**20
 
 
 def _flipped_sign_of(step):
@@ -693,6 +716,48 @@ def test_canonical_json_matches_golden_hashes_beyond_100():
     for a in sample:
         text = json.dumps(to_json_dict(synthesize(a)), sort_keys=True, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == golden[str(a)], a
+
+
+def _json_dumps_text(spec):
+    return json.dumps(to_json_dict(spec), sort_keys=True, indent=2) + "\n"
+
+
+def test_pattern_text_is_the_json_dumps_form():
+    for a in range(2, 301):
+        spec = synthesize(a)
+        assert _pattern_text(spec) == _json_dumps_text(spec), a
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PatternSpec(
+            a=5,
+            M=20,
+            z={1: ZClass(-7, 'q"uo\\te'), 10: ZClass(2**64 + 1, "n\nl"), 2: ZClass(0, "é☃")},
+            tail={1: "\\", 10: '"', 2: "\t\u2028é"},
+        ),
+        PatternSpec(a=3, M=8, z={-1: ZClass(-(2**70), "")}, tail={-1: ""}),
+        PatternSpec(a=3, M=8, z={}, tail={}),
+    ],
+    ids=["escapes", "negative", "empty"],
+)
+def test_pattern_text_matches_json_dumps_on_hand_built_specs(spec):
+    # Words that need escaping, non-ASCII characters, big and negative
+    # integers and empty tables, none of which synthesis produces.
+    assert _pattern_text(spec) == _json_dumps_text(spec)
+
+
+def test_saved_files_match_golden_hashes(tmp_path):
+    # The bytes save_pattern writes, without the trailing newline, hash to
+    # the same goldens as the json.dumps form.
+    golden = json.loads((Path(__file__).parent / "data" / "pattern_sha256.json").read_text())
+    path = tmp_path / "p.json"
+    for a in range(2, 101):
+        save_pattern(synthesize(a), str(path))
+        data = path.read_bytes()
+        assert data.endswith(b"}\n")
+        assert hashlib.sha256(data[:-1]).hexdigest() == golden[str(a)], a
 
 
 @pytest.mark.parametrize("name", ["a", "M", "ell", "i0", "n0", "tail_period"])
