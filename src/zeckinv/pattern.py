@@ -83,7 +83,7 @@ from .bigfib import fib_mod, fib_residues
 from .basephi import EventuallyPeriodicBits
 from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
 from .inverse import inverse_oracle
-from .qphi import QPhi, phi_pow, sign_of, sqrt5
+from .qphi import QPhi, phi_pow, sqrt5
 from .zeckendorf import ZeckendorfRep, decode, encode, normalize_index_one
 
 __all__ = [
@@ -278,6 +278,24 @@ def _junction_scan(spec: "PatternSpec") -> None:
 _Cycle = tuple[str, list[int], int]
 
 
+def _phi_floors(a: int) -> tuple[int, int, list[int]]:
+    """(lo, hi, fl): fl[v] = floor(phi*v) for every v in [lo, hi].
+
+    [lo, hi] holds every integer q in (-a/sqrt5, a*phi^2/sqrt5), the range
+    of the q parts of the digit-orbit states of b/a (see ``_digit_cycles``):
+    lo = -floor(a/sqrt5) and hi = floor((5a + sqrt(45 a^2))/10), both from
+    ``isqrt`` as the bounds are irrational.  floor(phi*v) is
+    (v + isqrt(5 v^2)) // 2 for v >= 0 and, phi*v being irrational for
+    v != 0, -floor(phi*|v|) - 1 for v < 0.  The entries for v < 0 sit at
+    the end of the list, so fl[v] reads them by negative indexing.
+    """
+    lo = -math.isqrt(a * a // 5)
+    hi = (5 * a + math.isqrt(45 * a * a)) // 10
+    fl = [(v + math.isqrt(5 * v * v)) // 2 for v in range(hi + 1)]
+    fl += [-fl[w] - 1 for w in range(-lo, 0, -1)]
+    return lo, hi, fl
+
+
 def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
     """Walk the digit-orbit cycle of b/a once for every b in ``wanted``.
 
@@ -285,14 +303,30 @@ def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
     from its first b, the list qs = [q_0, ..., q_M] of the q parts of the
     orbit states (p_j + q_j*phi)/a in that order, and the position k of
     (b, 0) among them.  Each step is the digit map of ``expand`` with
-    den = a (b/a is reduced, as b is a unit mod a): the digit d is 1
-    exactly when (q - a) + (p + q)*phi >= 0, and the next state is
-    (q - a*d, p + q).  So q_(j+1) = p_j + q_j, and one int per step keeps
-    the whole orbit: state j is (p_j, q_j) = (q_(j+1) - q_j, q_j), with
-    q_M = q_0 = 0.  b/a has the period per[k:] + per[:k] and its j-th
-    orbit state is state (k + j) % M of the cycle.  Every b on a cycle
-    shares its ``per`` and ``qs``, and k = 0 exactly for the cycle's
-    first b.
+    den = a (b/a is reduced, as b is a unit mod a): the digit d_j is 1
+    exactly when (q_j - a) + (p_j + q_j)*phi >= 0, and the next state is
+    (q_j - a*d_j, p_j + q_j).  So q_(j+1) = p_j + q_j, and one int per
+    step keeps the whole orbit: state j is (p_j, q_j) = (q_(j+1) - q_j,
+    q_j), with q_M = q_0 = 0.  The walk runs on the pair
+    (q_j, q_(j+1)), from (0, b), with
+    q_(j+2) = q_(j+1) + q_j - a*d_j.  b/a has the period per[k:] + per[:k]
+    and its j-th orbit state is state (k + j) % M of the cycle.  Every b
+    on a cycle shares its ``per`` and ``qs``, and k = 0 exactly for the
+    cycle's first b.
+
+    The digit test is one lookup in the table of ``_phi_floors``: with
+    v = q_(j+1), d_j = 1 exactly when q_j + floor(phi*v) >= a.  For
+    v != 0, a - phi*v is irrational, so q_j >= a - phi*v holds for the
+    integer q_j exactly when q_j >= ceil(a - phi*v) = a - floor(phi*v);
+    for v = 0 both tests read q_j >= a.  The table covers every q the
+    orbit can reach: x = (p + q*phi)/a and its conjugate
+    x' = (p + q*psi)/a give q = a(x - x')/sqrt5, and x is in [0, 1) while
+    x' is in (-phi, 1) (module docstring), so q lies in
+    (-a/sqrt5, a*phi^2/sqrt5), about phi*a integers.  A lookup past the
+    end of the table ends the walk and its index joins qs; an index
+    outside [lo, hi] but inside the list (negative ones wrap) reads a
+    wrong entry silently.  So a walk fails unless it closes after M steps
+    with every q in [lo, hi].
 
     The walk from (b, 0) must be back there after M = ``m_per`` steps, or
     synthesis fails; so the period length L divides M.  M | L always
@@ -302,24 +336,34 @@ def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
     mod a, that is only if M | k.  Hence L = M, and every cycle of every a
     in [2, 1000] closes (``scripts/period_sweep.py``).
     """
+    lo, hi, fl = _phi_floors(a)
     cycles: dict[int, _Cycle] = {}
     for b in sorted(wanted):
         if b in cycles:
             continue
-        digits = bytearray(m_per)
+        digits = bytearray(b"0") * m_per
         qs = [0]
         starts: list[tuple[int, int]] = []  # (b', k) for each wanted b' passed
-        p, q = b, 0
-        for j in range(m_per):
-            if q == 0 and p in wanted:
-                starts.append((p, j))
-            d = sign_of(q - a, p + q) >= 0
-            digits[j] = 48 + d  # "0" or "1"
-            p, q = q - a * d, p + q
-            qs.append(q)
-        if (p, q) != (b, 0):
+        u, v = 0, b  # (q_j, q_(j+1))
+        try:
+            for j in range(m_per):
+                if not u and v in wanted:
+                    starts.append((v, j))
+                if u + fl[v] >= a:
+                    digits[j] = 49  # "1"
+                    u, v = v, u + v - a
+                else:
+                    u, v = v, u + v
+                qs.append(u)
+        except IndexError:  # v is past the end of the table, outside [lo, hi]
+            qs.append(v)
+        if (u, v) != (0, b):
             raise SynthesisError(
                 f"digit orbit of b/a = {b}/{a} does not close after M = {m_per} steps"
+            )
+        if min(qs) < lo or max(qs) > hi:
+            raise SynthesisError(
+                f"digit orbit of b/a = {b}/{a} leaves the table range [{lo}, {hi}]"
             )
         per = digits.decode()
         for b_on, k in starts:

@@ -45,11 +45,13 @@ from zeckinv import (
 )
 from zeckinv.cli import _a2_expected_indices
 from zeckinv.pattern import (
+    _digit_cycles,
     _fib_table,
     _greedy_word,
     _i0,
     _junction_scan,
     _pattern_text,
+    _phi_floors,
 )
 from zeckinv.qphi import sign_of
 
@@ -314,31 +316,65 @@ def test_z_periods_match_digit_expansions():
             assert (zc.b * fib(r) + 1) % a == 0
 
 
+class _Floors(list):
+    """A floor(phi*v) table that records each lookup and can flip one digit.
+
+    The walk reads fl[q_(j+1)] at step j and takes the digit
+    q_j + fl[q_(j+1)] >= a.  q_j is the index read one lookup earlier (0 at
+    the first), so within the first walk the lookup numbered ``flip``
+    (from 0) can return the entry that turns its digit over.
+    """
+
+    def __init__(self, a, fl, flip=None):
+        super().__init__(fl)
+        self.a = a
+        self.flip = flip
+        self.reads = []
+
+    def __getitem__(self, v):
+        f = super().__getitem__(v)
+        if len(self.reads) == self.flip:
+            u = self.reads[-1] if self.reads else 0
+            f = self.a - u - (u + f >= self.a)
+        self.reads.append(v)
+        return f
+
+
+def _patch_floors(monkeypatch, make):
+    """Replace the table builder by ``make(a, lo, hi, fl)``, which returns the
+    (lo, hi, table) triple the walk gets; returns the list of built triples."""
+    real = zeckinv.pattern._phi_floors
+    built = []
+
+    def build(a):
+        built.append(make(a, *real(a)))
+        return built[-1]
+
+    monkeypatch.setattr(zeckinv.pattern, "_phi_floors", build)
+    return built
+
+
 @pytest.mark.parametrize("a, cycles", [(30, 4), (109, 12), (149, 15)])
 def test_synthesize_expands_once_per_cycle(monkeypatch, a, cycles):
-    # Each cycle is walked once: one exact digit test per step, M steps.
-    # Its word is checked once, as the checks of EventuallyPeriodicBits are
-    # invariant under rotation, and each period is a rotation of a checked
-    # word.
-    calls = []
+    # One table per synthesis; each cycle is walked once: one table
+    # lookup per step, M steps.  Its word is checked once, as the checks of
+    # EventuallyPeriodicBits are invariant under rotation, and each period
+    # is a rotation of a checked word.
     checked = []
-
-    def counting_sign_of(u, v):
-        calls.append((u, v))
-        return sign_of(u, v)
 
     def counting_bits(pre, per):
         checked.append(per)
         return EventuallyPeriodicBits(pre, per)
 
-    monkeypatch.setattr(zeckinv.pattern, "sign_of", counting_sign_of)
+    built = _patch_floors(monkeypatch, lambda a, lo, hi, fl: (lo, hi, _Floors(a, fl)))
     monkeypatch.setattr(zeckinv.pattern, "EventuallyPeriodicBits", counting_bits)
     spec = synthesize(a)
     periods = [zc.period for zc in spec.z.values()]
     rotation_classes = {min(p[k:] + p[:k] for k in range(len(p))) for p in periods}
     assert len(spec.z) > cycles
     assert len(rotation_classes) == cycles
-    assert len(calls) == cycles * spec.M
+    assert len(built) == 1
+    assert len(built[0][2].reads) == cycles * spec.M
     assert len(checked) == cycles
     assert all(any(p in w + w for w in checked) for p in periods)
 
@@ -357,42 +393,99 @@ def test_synthesize_keeps_one_int_per_orbit_step():
     assert peak < 3 * 2**20
 
 
-def _flipped_sign_of(step):
-    """sign_of with the digit of the ``step``-th call (from 0) flipped."""
-    calls = []
-
-    def flipped(u, v):
-        calls.append(None)
-        s = sign_of(u, v)
-        return (-1 if s >= 0 else 1) if len(calls) == step + 1 else s
-
-    return flipped
+def _flipped_floors(step):
+    """Table builder whose table flips the digit of lookup ``step`` (from 0)."""
+    return lambda a, lo, hi, fl: (lo, hi, _Floors(a, fl, flip=step))
 
 
 @pytest.mark.parametrize("a", [2, 7])
 def test_synthesize_refuses_period_other_than_pisano(monkeypatch, a):
-    # Flipping the second digit test puts the walk off its orbit; for these
+    # Flipping the second digit puts the walk off its orbit; for these
     # a it is not back at (b, 0) after M = pi(a) steps.
-    monkeypatch.setattr(zeckinv.pattern, "sign_of", _flipped_sign_of(1))
+    _patch_floors(monkeypatch, _flipped_floors(1))
     m = pisano(a)
     with pytest.raises(SynthesisError, match=rf"/{a} does not close after M = {m} steps$"):
         synthesize(a)
 
 
+# Tables whose digit test always answers 1 (sign +1), always 0 (sign -1),
+# or flips the first step.  A lookup that does not raise reads an index v
+# with |v| <= len(fl) <= 2a, and q_j is the previous lookup's index, so an
+# entry of 4a or -4a fixes the digit.
 _CORRUPTED_DIGIT_TESTS = {
-    "always-plus-1": lambda: lambda u, v: 1,
-    "always-minus-1": lambda: lambda u, v: -1,
-    "first-flipped": lambda: _flipped_sign_of(0),
+    "always-plus-1": lambda a, lo, hi, fl: (lo, hi, [4 * a] * len(fl)),
+    "always-minus-1": lambda a, lo, hi, fl: (lo, hi, [-4 * a] * len(fl)),
+    "first-flipped": _flipped_floors(0),
 }
 
 
 @pytest.mark.parametrize("a", [2, 3, 7, 30])
 @pytest.mark.parametrize("digit_test", sorted(_CORRUPTED_DIGIT_TESTS))
 def test_corrupted_digit_tests_raise_synthesis_error(monkeypatch, a, digit_test):
-    # Whatever the digit test answers, synthesis refuses with its own
-    # error (CLI exit 1), never with DomainError (CLI exit 2).
-    monkeypatch.setattr(zeckinv.pattern, "sign_of", _CORRUPTED_DIGIT_TESTS[digit_test]())
+    # Whatever the table answers, synthesis refuses with its own error
+    # (CLI exit 1), never with DomainError (CLI exit 2) or IndexError.
+    _patch_floors(monkeypatch, _CORRUPTED_DIGIT_TESTS[digit_test])
     with pytest.raises(SynthesisError):
+        synthesize(a)
+
+
+def test_phi_floor_table_matches_sign_of():
+    # Each entry sits exactly at its digit's threshold: with
+    # q = a - floor(phi*v) the digit is 1, one below it is 0, and sign_of
+    # agrees on both sides, for v = 0, v < 0 and v > 0 alike.
+    for a in [*range(2, 301), 1000, 2503]:
+        lo, hi, fl = _phi_floors(a)
+        assert lo <= 0 < hi and len(fl) == hi + 1 - lo, a
+        for v in range(lo, hi + 1):
+            for q, digit in ((a - fl[v], True), (a - fl[v] - 1, False)):
+                assert (q + fl[v] >= a) is digit
+                assert (sign_of(q - a, v) >= 0) is digit, (a, v)
+
+
+def _inside_proven_range(a, q):
+    # -a/sqrt5 < q < a*phi^2/sqrt5, exactly: with sqrt5 = 2*phi - 1 these
+    # are (a - q) + 2q*phi > 0 and (a + q) + (a - 2q)*phi > 0.
+    return sign_of(a - q, 2 * q) > 0 and sign_of(a + q, a - 2 * q) > 0
+
+
+def test_orbit_states_lie_in_the_proven_range():
+    for a in range(2, 401):
+        fs = [fib(r) % a for r in range(pisano(a))]
+        wanted = {-pow(f, -1, a) % a for f in fs if math.gcd(a, f) == 1}
+        lo, hi, _ = _phi_floors(a)
+        qs = {q for _, cycle, _ in _digit_cycles(a, len(fs), wanted).values() for q in cycle}
+        assert all(_inside_proven_range(a, q) for q in qs), a
+        assert lo <= min(qs) and max(qs) <= hi, a
+        # The table's range is exactly the proven one.
+        assert _inside_proven_range(a, lo) and not _inside_proven_range(a, lo - 1), a
+        assert _inside_proven_range(a, hi) and not _inside_proven_range(a, hi + 1), a
+
+
+_NOT_CLOSED = r"does not close after M = \d+ steps$"
+_OUT_OF_RANGE = r"leaves the table range \[-?\d+, \d+\]$"
+
+# (lo, hi, table) triples that do not cover the orbit, with the refusal
+# each must end in.
+_TRUNCATED_TABLES = {
+    # A correct table for a smaller range: reads past hi wrap silently to
+    # the entries of negative v, or run off the end of the list.
+    "smaller-a": (lambda a, lo, hi, fl: _phi_floors(a // 2), f"({_NOT_CLOSED}|{_OUT_OF_RANGE})"),
+    # Only v = 0: the first lookup, at v = b > 0, is past the end while
+    # the walk still stands at (0, b).
+    "only-zero": (lambda a, lo, hi, fl: (0, 0, [0]), _OUT_OF_RANGE),
+    # Every entry right but the range claimed too narrow: the walks close,
+    # and the check after each walk still refuses.
+    "narrow-bound": (lambda a, lo, hi, fl: (lo, hi // 2, fl), _OUT_OF_RANGE),
+}
+
+
+@pytest.mark.parametrize("a", [7, 30, 109, 250])
+@pytest.mark.parametrize("table", sorted(_TRUNCATED_TABLES))
+def test_walk_outside_the_table_raises_synthesis_error(monkeypatch, a, table):
+    # Never an IndexError, and never digits read from a wrong entry.
+    make, refusal = _TRUNCATED_TABLES[table]
+    _patch_floors(monkeypatch, make)
+    with pytest.raises(SynthesisError, match=rf"/{a} {refusal}"):
         synthesize(a)
 
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import zeckinv.pattern
-from zeckinv.qphi import sign_of
 
 ROOT = Path(__file__).resolve().parents[1]
 ROWS = {r["a"]: r for r in json.loads((ROOT / "tests" / "data" / "period_sweep.json").read_text())}
@@ -37,15 +36,24 @@ def test_i0_never_exceeds_m_plus_3():
 
 @pytest.mark.parametrize("a", sorted(random.Random(7).sample(range(2, 301), 24)))
 def test_sweep_rows_recompute(monkeypatch, a):
-    # The cycle count is also checked against the number of exact digit
-    # tests synthesis makes, M per cycle, which does not depend on the
-    # script's walk.
-    calls = []
+    # The cycle count is also checked against the number of digit-table
+    # lookups synthesis makes, M per cycle, from one table, which does not
+    # depend on the script's walk.
+    real = zeckinv.pattern._phi_floors
+    tables = []
+    lookups = []
 
-    def counting_sign_of(u, v):
-        calls.append((u, v))
-        return sign_of(u, v)
+    class CountingFloors(list):
+        def __getitem__(self, v):
+            lookups.append(v)
+            return super().__getitem__(v)
 
-    monkeypatch.setattr(zeckinv.pattern, "sign_of", counting_sign_of)
+    def counting_floors(a):
+        lo, hi, fl = real(a)
+        tables.append(a)
+        return lo, hi, CountingFloors(fl)
+
+    monkeypatch.setattr(zeckinv.pattern, "_phi_floors", counting_floors)
     assert period_sweep.row(a) == ROWS[a]
-    assert len(calls) == ROWS[a]["cycles"] * ROWS[a]["M"]
+    assert tables == [a]
+    assert len(lookups) == ROWS[a]["cycles"] * ROWS[a]["M"]
