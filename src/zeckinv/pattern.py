@@ -278,22 +278,21 @@ def _junction_scan(spec: "PatternSpec") -> None:
 _Cycle = tuple[str, list[int], int]
 
 
-def _phi_floors(a: int) -> tuple[int, int, list[int]]:
-    """(lo, hi, fl): fl[v] = floor(phi*v) for every v in [lo, hi].
+class _PhiFloors(dict):
+    """floor(phi*v) for an int v, computed with ``isqrt`` on first use and kept.
 
-    [lo, hi] holds every integer q in (-a/sqrt5, a*phi^2/sqrt5), the range
-    of the q parts of the digit-orbit states of b/a (see ``_digit_cycles``):
-    lo = -floor(a/sqrt5) and hi = floor((5a + sqrt(45 a^2))/10), both from
-    ``isqrt`` as the bounds are irrational.  floor(phi*v) is
-    (v + isqrt(5 v^2)) // 2 for v >= 0 and, phi*v being irrational for
-    v != 0, -floor(phi*|v|) - 1 for v < 0.  The entries for v < 0 sit at
-    the end of the list, so fl[v] reads them by negative indexing.
+    With s = isqrt(5 v^2), phi*v = (v + sqrt(5 v^2))/2 for v >= 0 and
+    (v - sqrt(5 v^2))/2 for v < 0.  sqrt(5 v^2) is irrational for v != 0
+    and lies in (s, s + 1), so the floor is (v + s) // 2 and
+    (v - s - 1) // 2; for v = 0 both read 0.
     """
-    lo = -math.isqrt(a * a // 5)
-    hi = (5 * a + math.isqrt(45 * a * a)) // 10
-    fl = [(v + math.isqrt(5 * v * v)) // 2 for v in range(hi + 1)]
-    fl += [-fl[w] - 1 for w in range(-lo, 0, -1)]
-    return lo, hi, fl
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> int:
+        s = math.isqrt(5 * v * v)
+        f = self[v] = (v + s) // 2 if v >= 0 else (v - s - 1) // 2
+        return f
 
 
 def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
@@ -314,19 +313,18 @@ def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
     on a cycle shares its ``per`` and ``qs``, and k = 0 exactly for the
     cycle's first b.
 
-    The digit test is one lookup in the table of ``_phi_floors``: with
-    v = q_(j+1), d_j = 1 exactly when q_j + floor(phi*v) >= a.  For
+    The digit test is one lookup in a ``_PhiFloors`` memo, one per call:
+    with v = q_(j+1), d_j = 1 exactly when q_j + floor(phi*v) >= a.  For
     v != 0, a - phi*v is irrational, so q_j >= a - phi*v holds for the
     integer q_j exactly when q_j >= ceil(a - phi*v) = a - floor(phi*v);
-    for v = 0 both tests read q_j >= a.  The table covers every q the
-    orbit can reach: x = (p + q*phi)/a and its conjugate
-    x' = (p + q*psi)/a give q = a(x - x')/sqrt5, and x is in [0, 1) while
-    x' is in (-phi, 1) (module docstring), so q lies in
-    (-a/sqrt5, a*phi^2/sqrt5), about phi*a integers.  A lookup past the
-    end of the table ends the walk and its index joins qs; an index
-    outside [lo, hi] but inside the list (negative ones wrap) reads a
-    wrong entry silently.  So a walk fails unless it closes after M steps
-    with every q in [lo, hi].
+    for v = 0 both tests read q_j >= a.  The memo holds one entry per
+    distinct q the walks reach, so at most min(cycles * M, about phi*a)
+    entries: x = (p + q*phi)/a and its conjugate x' = (p + q*psi)/a give
+    q = a(x - x')/sqrt5, and x is in [0, 1) while x' is in (-phi, 1)
+    (module docstring), so q lies in (-a/sqrt5, a*phi^2/sqrt5).  The walk
+    costs time and memory in proportion to its steps: a table over that
+    whole range would cost O(a) even where M, which can be as small as
+    about 2 log_phi a (a = F_k has M = 2k or 4k), is far below a.
 
     The walk from (b, 0) must be back there after M = ``m_per`` steps, or
     synthesis fails; so the period length L divides M.  M | L always
@@ -336,7 +334,7 @@ def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
     mod a, that is only if M | k.  Hence L = M, and every cycle of every a
     in [2, 1000] closes (``scripts/period_sweep.py``).
     """
-    lo, hi, fl = _phi_floors(a)
+    fl = _PhiFloors()
     cycles: dict[int, _Cycle] = {}
     for b in sorted(wanted):
         if b in cycles:
@@ -345,25 +343,18 @@ def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
         qs = [0]
         starts: list[tuple[int, int]] = []  # (b', k) for each wanted b' passed
         u, v = 0, b  # (q_j, q_(j+1))
-        try:
-            for j in range(m_per):
-                if not u and v in wanted:
-                    starts.append((v, j))
-                if u + fl[v] >= a:
-                    digits[j] = 49  # "1"
-                    u, v = v, u + v - a
-                else:
-                    u, v = v, u + v
-                qs.append(u)
-        except IndexError:  # v is past the end of the table, outside [lo, hi]
-            qs.append(v)
+        for j in range(m_per):
+            if not u and v in wanted:
+                starts.append((v, j))
+            if u + fl[v] >= a:
+                digits[j] = 49  # "1"
+                u, v = v, u + v - a
+            else:
+                u, v = v, u + v
+            qs.append(u)
         if (u, v) != (0, b):
             raise SynthesisError(
                 f"digit orbit of b/a = {b}/{a} does not close after M = {m_per} steps"
-            )
-        if min(qs) < lo or max(qs) > hi:
-            raise SynthesisError(
-                f"digit orbit of b/a = {b}/{a} leaves the table range [{lo}, {hi}]"
             )
         per = digits.decode()
         for b_on, k in starts:

@@ -51,7 +51,7 @@ from zeckinv.pattern import (
     _i0,
     _junction_scan,
     _pattern_text,
-    _phi_floors,
+    _PhiFloors,
 )
 from zeckinv.qphi import sign_of
 
@@ -316,47 +316,46 @@ def test_z_periods_match_digit_expansions():
             assert (zc.b * fib(r) + 1) % a == 0
 
 
-class _Floors(list):
-    """A floor(phi*v) table that records each lookup and can flip one digit.
+class _Floors(_PhiFloors):
+    """A floor(phi*v) memo that records each lookup and can set its digit.
 
     The walk reads fl[q_(j+1)] at step j and takes the digit
     q_j + fl[q_(j+1)] >= a.  q_j is the index read one lookup earlier (0 at
-    the first), so within the first walk the lookup numbered ``flip``
-    (from 0) can return the entry that turns its digit over.
+    the first), so ``digit(i, d)`` can set the digit of lookup i (from 0)
+    of the first walk, whose true digit is d, by the entry returned.
     """
 
-    def __init__(self, a, fl, flip=None):
-        super().__init__(fl)
+    def __init__(self, a, digit):
+        super().__init__()
         self.a = a
-        self.flip = flip
+        self.digit = digit
         self.reads = []
 
     def __getitem__(self, v):
+        u = self.reads[-1] if self.reads else 0
         f = super().__getitem__(v)
-        if len(self.reads) == self.flip:
-            u = self.reads[-1] if self.reads else 0
-            f = self.a - u - (u + f >= self.a)
+        d = u + f >= self.a
+        if self.digit(len(self.reads), d) != d:
+            f = self.a - u - d
         self.reads.append(v)
         return f
 
 
-def _patch_floors(monkeypatch, make):
-    """Replace the table builder by ``make(a, lo, hi, fl)``, which returns the
-    (lo, hi, table) triple the walk gets; returns the list of built triples."""
-    real = zeckinv.pattern._phi_floors
+def _patch_floors(monkeypatch, a, digit=lambda i, d: d):
+    """Give synthesis of ``a`` ``_Floors`` memos; returns the list of them."""
     built = []
 
-    def build(a):
-        built.append(make(a, *real(a)))
+    def make():
+        built.append(_Floors(a, digit))
         return built[-1]
 
-    monkeypatch.setattr(zeckinv.pattern, "_phi_floors", build)
+    monkeypatch.setattr(zeckinv.pattern, "_PhiFloors", make)
     return built
 
 
 @pytest.mark.parametrize("a, cycles", [(30, 4), (109, 12), (149, 15)])
 def test_synthesize_expands_once_per_cycle(monkeypatch, a, cycles):
-    # One table per synthesis; each cycle is walked once: one table
+    # One floor(phi*v) memo per synthesis; each cycle is walked once: one
     # lookup per step, M steps.  Its word is checked once, as the checks of
     # EventuallyPeriodicBits are invariant under rotation, and each period
     # is a rotation of a checked word.
@@ -366,7 +365,7 @@ def test_synthesize_expands_once_per_cycle(monkeypatch, a, cycles):
         checked.append(per)
         return EventuallyPeriodicBits(pre, per)
 
-    built = _patch_floors(monkeypatch, lambda a, lo, hi, fl: (lo, hi, _Floors(a, fl)))
+    built = _patch_floors(monkeypatch, a)
     monkeypatch.setattr(zeckinv.pattern, "EventuallyPeriodicBits", counting_bits)
     spec = synthesize(a)
     periods = [zc.period for zc in spec.z.values()]
@@ -374,7 +373,7 @@ def test_synthesize_expands_once_per_cycle(monkeypatch, a, cycles):
     assert len(spec.z) > cycles
     assert len(rotation_classes) == cycles
     assert len(built) == 1
-    assert len(built[0][2].reads) == cycles * spec.M
+    assert len(built[0].reads) == cycles * spec.M
     assert len(checked) == cycles
     assert all(any(p in w + w for w in checked) for p in periods)
 
@@ -393,53 +392,38 @@ def test_synthesize_keeps_one_int_per_orbit_step():
     assert peak < 3 * 2**20
 
 
-def _flipped_floors(step):
-    """Table builder whose table flips the digit of lookup ``step`` (from 0)."""
-    return lambda a, lo, hi, fl: (lo, hi, _Floors(a, fl, flip=step))
+def _flipped(step):
+    """A digit rule that turns over the digit of lookup ``step`` (from 0)."""
+    return lambda i, d: d != (i == step)
 
 
 @pytest.mark.parametrize("a", [2, 7])
 def test_synthesize_refuses_period_other_than_pisano(monkeypatch, a):
     # Flipping the second digit puts the walk off its orbit; for these
     # a it is not back at (b, 0) after M = pi(a) steps.
-    _patch_floors(monkeypatch, _flipped_floors(1))
+    _patch_floors(monkeypatch, a, _flipped(1))
     m = pisano(a)
     with pytest.raises(SynthesisError, match=rf"/{a} does not close after M = {m} steps$"):
         synthesize(a)
 
 
-# Tables whose digit test always answers 1 (sign +1), always 0 (sign -1),
-# or flips the first step.  A lookup that does not raise reads an index v
-# with |v| <= len(fl) <= 2a, and q_j is the previous lookup's index, so an
-# entry of 4a or -4a fixes the digit.
+# Memos whose digit test always answers 1 (sign +1), always 0 (sign -1),
+# or flips the first step.
 _CORRUPTED_DIGIT_TESTS = {
-    "always-plus-1": lambda a, lo, hi, fl: (lo, hi, [4 * a] * len(fl)),
-    "always-minus-1": lambda a, lo, hi, fl: (lo, hi, [-4 * a] * len(fl)),
-    "first-flipped": _flipped_floors(0),
+    "always-plus-1": lambda i, d: True,
+    "always-minus-1": lambda i, d: False,
+    "first-flipped": _flipped(0),
 }
 
 
 @pytest.mark.parametrize("a", [2, 3, 7, 30])
 @pytest.mark.parametrize("digit_test", sorted(_CORRUPTED_DIGIT_TESTS))
 def test_corrupted_digit_tests_raise_synthesis_error(monkeypatch, a, digit_test):
-    # Whatever the table answers, synthesis refuses with its own error
-    # (CLI exit 1), never with DomainError (CLI exit 2) or IndexError.
-    _patch_floors(monkeypatch, _CORRUPTED_DIGIT_TESTS[digit_test])
+    # Whatever the memo answers, synthesis refuses with its own error
+    # (CLI exit 1), never with DomainError (CLI exit 2).
+    _patch_floors(monkeypatch, a, _CORRUPTED_DIGIT_TESTS[digit_test])
     with pytest.raises(SynthesisError):
         synthesize(a)
-
-
-def test_phi_floor_table_matches_sign_of():
-    # Each entry sits exactly at its digit's threshold: with
-    # q = a - floor(phi*v) the digit is 1, one below it is 0, and sign_of
-    # agrees on both sides, for v = 0, v < 0 and v > 0 alike.
-    for a in [*range(2, 301), 1000, 2503]:
-        lo, hi, fl = _phi_floors(a)
-        assert lo <= 0 < hi and len(fl) == hi + 1 - lo, a
-        for v in range(lo, hi + 1):
-            for q, digit in ((a - fl[v], True), (a - fl[v] - 1, False)):
-                assert (q + fl[v] >= a) is digit
-                assert (sign_of(q - a, v) >= 0) is digit, (a, v)
 
 
 def _inside_proven_range(a, q):
@@ -448,45 +432,56 @@ def _inside_proven_range(a, q):
     return sign_of(a - q, 2 * q) > 0 and sign_of(a + q, a - 2 * q) > 0
 
 
+def _proven_range(a):
+    """The integers of (-a/sqrt5, a*phi^2/sqrt5), as (lo, hi)."""
+    return -math.isqrt(a * a // 5), (5 * a + math.isqrt(45 * a * a)) // 10
+
+
+def test_phi_floors_match_sign_of():
+    # Each entry sits exactly at its digit's threshold: with
+    # q = a - floor(phi*v) the digit is 1, one below it is 0, and sign_of
+    # agrees on both sides, for v = 0, v < 0 and v > 0 alike, over every v
+    # an orbit of b/a can reach, and at big v of both signs.
+    rng = random.Random(15)
+    big = [rng.randrange(1, 10**40) for _ in range(200)]
+    for a in [*range(2, 301), 1000, 2503]:
+        lo, hi = _proven_range(a)
+        assert _inside_proven_range(a, lo) and not _inside_proven_range(a, lo - 1), a
+        assert _inside_proven_range(a, hi) and not _inside_proven_range(a, hi + 1), a
+        fl = _PhiFloors()
+        vs = range(lo, hi + 1) if a <= 300 else [*range(lo, hi + 1), *big, *(-v for v in big)]
+        for v in vs:
+            for q, digit in ((a - fl[v], True), (a - fl[v] - 1, False)):
+                assert (q + fl[v] >= a) is digit
+                assert (sign_of(q - a, v) >= 0) is digit, (a, v)
+
+
 def test_orbit_states_lie_in_the_proven_range():
+    # The bound on the memo's size: every q of every cycle, and so every
+    # key looked up, lies in (-a/sqrt5, a*phi^2/sqrt5).
     for a in range(2, 401):
         fs = [fib(r) % a for r in range(pisano(a))]
         wanted = {-pow(f, -1, a) % a for f in fs if math.gcd(a, f) == 1}
-        lo, hi, _ = _phi_floors(a)
         qs = {q for _, cycle, _ in _digit_cycles(a, len(fs), wanted).values() for q in cycle}
         assert all(_inside_proven_range(a, q) for q in qs), a
-        assert lo <= min(qs) and max(qs) <= hi, a
-        # The table's range is exactly the proven one.
-        assert _inside_proven_range(a, lo) and not _inside_proven_range(a, lo - 1), a
-        assert _inside_proven_range(a, hi) and not _inside_proven_range(a, hi + 1), a
 
 
-_NOT_CLOSED = r"does not close after M = \d+ steps$"
-_OUT_OF_RANGE = r"leaves the table range \[-?\d+, \d+\]$"
-
-# (lo, hi, table) triples that do not cover the orbit, with the refusal
-# each must end in.
-_TRUNCATED_TABLES = {
-    # A correct table for a smaller range: reads past hi wrap silently to
-    # the entries of negative v, or run off the end of the list.
-    "smaller-a": (lambda a, lo, hi, fl: _phi_floors(a // 2), f"({_NOT_CLOSED}|{_OUT_OF_RANGE})"),
-    # Only v = 0: the first lookup, at v = b > 0, is past the end while
-    # the walk still stands at (0, b).
-    "only-zero": (lambda a, lo, hi, fl: (0, 0, [0]), _OUT_OF_RANGE),
-    # Every entry right but the range claimed too narrow: the walks close,
-    # and the check after each walk still refuses.
-    "narrow-bound": (lambda a, lo, hi, fl: (lo, hi // 2, fl), _OUT_OF_RANGE),
-}
-
-
-@pytest.mark.parametrize("a", [7, 30, 109, 250])
-@pytest.mark.parametrize("table", sorted(_TRUNCATED_TABLES))
-def test_walk_outside_the_table_raises_synthesis_error(monkeypatch, a, table):
-    # Never an IndexError, and never digits read from a wrong entry.
-    make, refusal = _TRUNCATED_TABLES[table]
-    _patch_floors(monkeypatch, make)
-    with pytest.raises(SynthesisError, match=rf"/{a} {refusal}"):
-        synthesize(a)
+def test_synthesis_cost_follows_m_not_a():
+    # a = F_30 = 832040 has M = 60: at most 60 * 60 digit steps.  A
+    # floor(phi*v) table over the orbit's whole range, about phi*a = 1.35M
+    # entries, peaks near 54 MiB; the memo stays below 0.1 MiB.
+    a = fib(30)
+    tracemalloc.start()
+    try:
+        spec = synthesize(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.M == 60
+    assert peak < 2**20
+    for n in range(spec.n0, spec.n0 + 2 * spec.M):
+        if spec.is_admissible(n):
+            assert evaluate(spec, n) == encode(inverse_oracle(a, n)), n
 
 
 def test_n0_is_one_past_i0():

@@ -36,24 +36,21 @@ def test_i0_never_exceeds_m_plus_3():
 
 @pytest.mark.parametrize("a", sorted(random.Random(7).sample(range(2, 301), 24)))
 def test_sweep_rows_recompute(monkeypatch, a):
-    # The cycle count is also checked against the number of digit-table
-    # lookups synthesis makes, M per cycle, from one table, which does not
+    # The cycle count is also checked against the number of floor(phi*v)
+    # lookups synthesis makes, M per cycle, from one memo, which does not
     # depend on the script's walk.
-    real = zeckinv.pattern._phi_floors
     tables = []
     lookups = []
 
-    class CountingFloors(list):
+    class CountingFloors(zeckinv.pattern._PhiFloors):
+        def __init__(self):
+            tables.append(a)
+
         def __getitem__(self, v):
             lookups.append(v)
             return super().__getitem__(v)
 
-    def counting_floors(a):
-        lo, hi, fl = real(a)
-        tables.append(a)
-        return lo, hi, CountingFloors(fl)
-
-    monkeypatch.setattr(zeckinv.pattern, "_phi_floors", counting_floors)
+    monkeypatch.setattr(zeckinv.pattern, "_PhiFloors", CountingFloors)
     assert period_sweep.row(a) == ROWS[a]
     assert tables == [a]
     assert len(lookups) == ROWS[a]["cycles"] * ROWS[a]["M"]
