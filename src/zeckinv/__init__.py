@@ -43,7 +43,6 @@ from .pattern import (
     to_json_dict,
     verify,
 )
-from .qphi import PHI, QPhi, parse_qphi, phi_pow, sqrt5
 from .zeckendorf import (
     ZeckendorfRep,
     decode,
@@ -54,6 +53,22 @@ from .zeckendorf import (
 )
 
 __version__ = "0.1.0"
+
+_QPHI_NAMES = frozenset({"PHI", "QPhi", "parse_qphi", "phi_pow", "sqrt5"})
+
+
+def __getattr__(name: str):
+    """The ``qphi`` names, imported on first use (PEP 562): synthesis,
+    evaluation and verification never compute in Q(phi)."""
+    if name in _QPHI_NAMES:
+        from . import qphi
+        return getattr(qphi, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _QPHI_NAMES)
+
 
 # Always False: all code is pure Python; perfbench kernel_info() still records it.
 USING_COMPILED_KERNEL = False

@@ -5,13 +5,15 @@ no two consecutive 1s, and a tail that is not ultimately 0,1,0,1,...
 The sequence is produced by iterating T(x) = (phi*x mod 1) and reading
 the floor at each step; for field elements it is eventually periodic,
 and the expansion is computed exactly by cycle detection on the orbit.
+
+The functions that compute in Q(phi) import ``qphi`` when called, so
+importing this module for ``EventuallyPeriodicBits`` does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -19,7 +21,6 @@ from .errors import (
     InvalidRep,
     PreconditionError,
 )
-from .qphi import QPhi, phi_pow, sign_of, sqrt5
 from .zeckendorf import ZeckendorfRep, normalize_index_one
 
 __all__ = [
@@ -99,6 +100,8 @@ def _canonical_bits(pre: str, per: str) -> EventuallyPeriodicBits:
 def _unit_interval_pair(x: QPhi | Fraction | int) -> tuple[int, int, int]:
     """Coerce x to integer coordinates (p, q, den) with x = (p + q*phi)/den,
     gcd-reduced; raises DomainError unless x lies in [0, 1)."""
+    from fractions import Fraction
+    from .qphi import QPhi
     if isinstance(x, (int, Fraction)):
         x = QPhi(x)
     if not isinstance(x, QPhi):
@@ -126,6 +129,7 @@ def expand(x: QPhi | Fraction | int) -> EventuallyPeriodicBits:
     positions carry equal digit tails if and only if they carry equal
     states, since the state is determined by the remaining value).
     """
+    from .qphi import sign_of
     p, q, den = _unit_interval_pair(x)
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
@@ -153,6 +157,8 @@ def eval_closed_form(bits: EventuallyPeriodicBits) -> QPhi:
     are the finite digit polynomials of the preperiod (length L) and the
     period (length rho).
     """
+    from .qphi import QPhi, phi_pow
+
     def horner(word: str) -> QPhi:
         # Digits are integers and 1/phi = -1 + phi, so the whole loop stays
         # in integer coordinates: (u + v*phi)(-1 + phi) = (v - u) + u*phi.
@@ -190,6 +196,7 @@ def zeckendorf_from_phi(n: int) -> ZeckendorfRep:
     stream never contains "11"; both facts are asserted, and a failure
     means an arithmetic bug rather than a bad input.
     """
+    from .qphi import phi_pow, sign_of, sqrt5
     if n < 1:
         raise DomainError(f"need a positive integer, got {n}")
     # Smallest m >= 2 with phi^m > sqrt5 * n, tracked via (F_{m-1}, F_m):
@@ -231,6 +238,8 @@ def splice_check(
     over each side's preperiod plus three periods.  A property-test
     oracle, not a production path.
     """
+    from fractions import Fraction
+    from .qphi import QPhi, phi_pow
     if lam < 1 or m < 1 or lam + 2 > m:
         raise PreconditionError(f"need 1 <= lam and lam + 2 <= m, got lam={lam}, m={m}")
     if isinstance(x, (int, Fraction)):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import compress
 
 from .basephi import expand
@@ -36,7 +35,6 @@ from .pattern import (
     synthesize,
     verify,
 )
-from .qphi import QPhi, parse_qphi
 from .zeckendorf import decode, encode, from_bit_string, to_bit_string
 
 __all__ = ["main"]
@@ -152,6 +150,8 @@ def cmd_zeckendorf(args: argparse.Namespace) -> int:
 
 
 def cmd_basephi(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+    from .qphi import QPhi, parse_qphi
     if args.v is None and "phi" in args.u:
         x = parse_qphi(args.u)
     else:

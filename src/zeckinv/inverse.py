@@ -9,7 +9,7 @@ the two share nothing but fib and so check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bigfib import fib, fib_mod, mod_inverse, pisano
 from .errors import DomainError, InternalInvariantViolation, NotCoprime
@@ -17,14 +17,10 @@ from .errors import DomainError, InternalInvariantViolation, NotCoprime
 __all__ = ["InverseResult", "inverse_closed", "inverse_oracle"]
 
 
-@dataclass(frozen=True)
-class InverseResult:
+class InverseResult(namedtuple("InverseResult", "a n value b")):
     """Closed-form inverse together with its certificate b."""
 
-    a: int
-    n: int
-    value: int
-    b: int
+    __slots__ = ()
 
     @property
     def r(self) -> int:

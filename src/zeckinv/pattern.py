@@ -71,8 +71,8 @@ import json
 import math
 import time
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii as _esc
@@ -83,7 +83,6 @@ from .bigfib import fib_mod, fib_residues
 from .basephi import EventuallyPeriodicBits
 from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
 from .inverse import inverse_oracle
-from .qphi import QPhi, phi_pow, sqrt5
 from .zeckendorf import ZeckendorfRep, decode, encode, normalize_index_one
 
 __all__ = [
@@ -104,12 +103,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZClass:
+class ZClass(namedtuple("ZClass", "b period")):
     """Per-residue data: b_r and the digit period word of x_r = b_r/a."""
 
-    b: int
-    period: str
+    __slots__ = ()
 
 
 @lru_cache(maxsize=1024)
@@ -175,22 +172,11 @@ class PatternSpec:
         return (n % self.M) in self.z
 
 
-@dataclass(frozen=True)
-class MismatchDetail:
-    n: int
-    expected: tuple[int, ...]
-    got: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    a: int
-    n_lo: int
-    n_hi: int
-    checked: int
-    mismatches: int
-    first_mismatch: MismatchDetail | None
-    elapsed_s: float
+# expected and got are index tuples; first_mismatch is a MismatchDetail or None.
+MismatchDetail = namedtuple("MismatchDetail", "n expected got")
+VerificationReport = namedtuple(
+    "VerificationReport", "a n_lo n_hi checked mismatches first_mismatch elapsed_s"
+)
 
 
 # --------------------------------------------------------------------------
@@ -429,6 +415,15 @@ def synthesize(a: int) -> PatternSpec:
 # evaluation
 
 
+def _no_class_error(spec: PatternSpec, n: int) -> NotCoprime | DomainError:
+    """NotCoprime if gcd(a, F_n) > 1; otherwise DomainError, since only a
+    hand-built spec can leave out the admissible residue of n."""
+    g = math.gcd(spec.a, fib_mod(n, spec.a))
+    if g > 1:
+        return NotCoprime(g)
+    return DomainError(f"the spec for a={spec.a} has no class for residue {n % spec.M}")
+
+
 def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     """Zeckendorf representation of (a^-1 mod F_n) by pure digit assembly.
 
@@ -449,7 +444,7 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     r = n % spec.M
     zc = spec.z.get(r)
     if zc is None:
-        raise NotCoprime(math.gcd(spec.a, fib_mod(n, spec.a)))
+        raise _no_class_error(spec, n)
 
     per = zc.period
     lr = len(per)
@@ -499,9 +494,10 @@ def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
 
     A non-canonical representation counts as a mismatch, and so does an
     ``n`` whose tail word uses position 1 in a way that cannot be
-    canonicalized (only a hand-built spec can carry one); such a mismatch
-    reports ``got = ()``.  The oracle value is encoded only to report the
-    first mismatch.
+    canonicalized or whose admissible residue has no class (only a
+    hand-built spec can carry either); such a mismatch reports
+    ``got = ()``.  The oracle value is encoded only to report the first
+    mismatch.
     """
     if not spec.n0 <= n_lo <= n_hi:
         raise DomainError(
@@ -517,7 +513,7 @@ def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
         checked += 1
         try:
             rep = evaluate(spec, n)
-        except InvalidRep:
+        except (DomainError, InvalidRep):
             rep = None
         if rep is None or not matches_oracle(rep, spec.a, n):
             mismatches += 1
@@ -525,15 +521,8 @@ def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
                 want = encode(inverse_oracle(spec.a, n))
                 got = () if rep is None else rep.indices
                 first = MismatchDetail(n=n, expected=want.indices, got=got)
-    return VerificationReport(
-        a=spec.a,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        checked=checked,
-        mismatches=mismatches,
-        first_mismatch=first,
-        elapsed_s=time.perf_counter() - started,
-    )
+    elapsed_s = time.perf_counter() - started
+    return VerificationReport(spec.a, n_lo, n_hi, checked, mismatches, first, elapsed_s)
 
 
 def splice_value(spec: PatternSpec, n: int) -> QPhi:
@@ -544,10 +533,11 @@ def splice_value(spec: PatternSpec, n: int) -> QPhi:
     digit at position i for i in [1, i0 - 1].  Used by property tests to
     check the assembled representation against an independent digit path.
     """
-    r = n % spec.M
-    zc = spec.z.get(r)
+    from fractions import Fraction
+    from .qphi import QPhi, phi_pow, sqrt5
+    zc = spec.z.get(n % spec.M)
     if zc is None:
-        raise NotCoprime(math.gcd(spec.a, fib_mod(n, spec.a)))
+        raise _no_class_error(spec, n)
     x_r = QPhi(Fraction(zc.b, spec.a))
     sgn = -1 if n % 2 else 1
     return (
@@ -717,19 +707,9 @@ def report_to_json_dict(report: VerificationReport) -> dict:
     Wall time lives under the separate "timing" key so golden-file
     comparisons can drop it wholesale.
     """
-    first = None
+    data = report._asdict()
+    data["timing"] = {"elapsed_s": data.pop("elapsed_s")}
     if report.first_mismatch is not None:
-        first = {
-            "n": report.first_mismatch.n,
-            "expected": list(report.first_mismatch.expected),
-            "got": list(report.first_mismatch.got),
-        }
-    return {
-        "a": report.a,
-        "n_lo": report.n_lo,
-        "n_hi": report.n_hi,
-        "checked": report.checked,
-        "mismatches": report.mismatches,
-        "first_mismatch": first,
-        "timing": {"elapsed_s": report.elapsed_s},
-    }
+        n, expected, got = report.first_mismatch
+        data["first_mismatch"] = {"n": n, "expected": list(expected), "got": list(got)}
+    return data

@@ -1,0 +1,62 @@
+"""The package's import footprint and its public names."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import zeckinv
+
+SRC = str(Path(zeckinv.__file__).resolve().parent.parent)
+
+# The layers whose functions perfbench's tracer wraps: it reads them from
+# sys.modules right after ``import zeckinv.cli``, so that import loads them.
+TRACED_LAYERS = ("bigfib", "basephi", "zeckendorf", "inverse", "pattern")
+
+
+def _fresh(code: str) -> object:
+    """The JSON that ``code`` prints, run in a new interpreter on ``SRC``."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_the_traced_layers_and_no_qphi():
+    added = _fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import zeckinv.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    for name in ("zeckinv.qphi", "fractions", "decimal"):
+        assert name not in added
+    for layer in TRACED_LAYERS:
+        assert f"zeckinv.{layer}" in added
+
+
+def test_reading_a_qphi_name_loads_qphi():
+    assert _fresh(
+        "import json, sys, zeckinv\n"
+        "loaded = ['zeckinv.qphi' in sys.modules]\n"
+        "zeckinv.QPhi\n"
+        "loaded.append('zeckinv.qphi' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    ) == [False, True]
+
+
+def test_every_public_name_is_listed_and_served():
+    assert set(dir(zeckinv)) >= set(zeckinv.__all__)
+    namespace: dict = {}
+    exec("from zeckinv import *", namespace)
+    for name in zeckinv.__all__:
+        assert getattr(zeckinv, name) is namespace[name]
+    assert zeckinv.sqrt5 is zeckinv.qphi.sqrt5
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zeckinv.no_such_name

@@ -34,6 +34,7 @@ def test_oracle_not_coprime():
 def test_closed_examples():
     res = inverse_closed(3, 5)
     assert (res.value, res.b, res.r) == (2, 1, 5 % pisano(3))
+    assert res == (3, 5, 2, 1)  # a named tuple (a, n, value, b)
     assert inverse_closed(2, 8).value == 11
     assert inverse_closed(1, 77).value == 1
 

@@ -22,9 +22,12 @@ from zeckinv import (
     DomainError,
     EventuallyPeriodicBits,
     InvalidRep,
+    InverseResult,
+    MismatchDetail,
     NotCoprime,
     PatternSpec,
     SynthesisError,
+    VerificationReport,
     ZClass,
     ZeckendorfRep,
     digit_at,
@@ -579,6 +582,33 @@ def test_pattern_spec_derives_ell_and_tail_period():
         assert spec.n0 == spec.i0 + 1
         assert spec.inadmissible == set(range(spec.M)) - set(spec.z)
         assert set(spec.tail) == set(spec.z)
+        # Equal by value, and unhashable, as its tables are mapping proxies.
+        assert spec == synthesize(a) != _spec(a + 1)
+        with pytest.raises(TypeError):
+            hash(spec)
+
+
+@pytest.mark.parametrize(
+    "record, text",
+    [
+        (ZClass(1, "010"), "ZClass(b=1, period='010')"),
+        (MismatchDetail(8, (6, 4), ()), "MismatchDetail(n=8, expected=(6, 4), got=())"),
+        (
+            VerificationReport(2, 8, 40, 22, 0, None, 0.5),
+            "VerificationReport(a=2, n_lo=8, n_hi=40, checked=22, mismatches=0, "
+            "first_mismatch=None, elapsed_s=0.5)",
+        ),
+        (InverseResult(3, 5, 2, 1), "InverseResult(a=3, n=5, value=2, b=1)"),
+    ],
+)
+def test_plain_records_are_immutable_named_tuples(record, text):
+    # The repr names every field, in order, as the frozen dataclasses did.
+    assert repr(record) == text
+    assert tuple(getattr(record, name) for name in record._fields) == record
+    assert type(record)(*record) == record
+    for name in (record._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
 
 
 @pytest.mark.parametrize(
@@ -775,6 +805,26 @@ def test_verify_counts_unnormalizable_tail_as_mismatch(spec2):
     assert report.first_mismatch.n == 8
     assert report.first_mismatch.expected == (6, 4)
     assert report.first_mismatch.got == ()
+
+
+def test_missing_admissible_residue_is_a_domain_error_and_a_mismatch():
+    # Only a hand-built spec can leave out a residue r with gcd(a, F_r) = 1;
+    # that is no coprimality failure, and verify counts it with got = ().
+    spec5 = _spec(5)
+    assert spec5.M == 20 and 1 in spec5.z and math.gcd(5, fib(21)) == 1
+    bad = dataclasses.replace(
+        spec5,
+        z={r: zc for r, zc in spec5.z.items() if r != 1},
+        tail={r: word for r, word in spec5.tail.items() if r != 1},
+    )
+    for fn in (evaluate, splice_value):
+        with pytest.raises(DomainError, match="no class for residue 1"):
+            fn(bad, 21)
+    report = verify(bad, 21, 21)
+    assert (report.checked, report.mismatches) == (1, 1)
+    assert report.first_mismatch == MismatchDetail(
+        n=21, expected=encode(inverse_oracle(5, 21)).indices, got=()
+    )
 
 
 def test_verify_range_validation(spec2):
