@@ -26,6 +26,7 @@ from .inverse import inverse_closed, inverse_oracle
 from .pattern import (
     _fib_table,
     _i0,
+    _inverse_at,
     _pattern_text,
     evaluate,
     load_pattern,
@@ -87,14 +88,14 @@ def cmd_inverse(args: argparse.Namespace) -> int:
         value = inverse_closed(a, n).value
         rep = encode(value)
     else:
-        # n0 = i0 + 1 depends on a alone, so no synthesis runs below it.
+        # n0 = i0 + 1 depends on a alone; above i0 one orbit walk answers.
         use_pattern = a >= 2 and n > _i0(a)
         if method == "pattern" and not use_pattern:
             raise DomainError(
                 f"pattern method needs a >= 2 and n >= n0, got a={a}, n={n}"
             )
         if use_pattern:
-            rep = evaluate(synthesize(a), n)
+            rep = _inverse_at(a, n)
             value = decode(rep)
             method = "pattern"
         else:

@@ -10,7 +10,7 @@ into two periodic layers:
 * low digits: positions i0-1 down to 1 form a tail word that depends
   only on r = n mod M.
 
-Every digit period of x_r has length M (see ``_digit_cycles``), so a
+Every digit period of x_r has length M (see ``_orbit``), so a
 spec is fixed by a, M, the digit periods and the tail words: ``ell`` and
 ``tail_period`` are both M, i0 = c(a) = ceil(log_phi a) + 4 (see
 ``_i0``), and n0 = i0 + 1.  The tail word spells the remainder
@@ -61,8 +61,9 @@ sqrt5 * R = sqrt5/a + phi^c x - psi^c x'.
   F_(M-1) > 1, so phi^(M-2) >= F_(M-1) > a and c <= M + 2.
 
 Synthesis still checks each of these at run time: the tail value is an
-integer, ``_greedy_word`` refuses a value >= F_c, the value is
-cross-checked against the oracle, and ``_junction_scan`` refuses "11".
+integer, ``_greedy_word`` refuses a value >= F_c, ``_tail`` refuses "11"
+in the word and at the junction, and the value is cross-checked against
+the oracle.
 """
 
 from __future__ import annotations
@@ -234,36 +235,6 @@ def _exact_remainder(a: int, n: int, i0: int, period: str, fibs: list[int]) -> i
     return value - sum(compress(fibs[n - 1 : i0 - 1 : -1], _bits(period[: n - i0])))
 
 
-def _junction_scan(spec: "PatternSpec") -> None:
-    """Refuse a spec whose assembled digits contain "11" for some n.
-
-    For admissible n >= n0, positions n-1 down to i0 carry z_1 ... z_(n-i0),
-    a prefix of the purely periodic word per^inf of the residue r = n mod M,
-    and positions i0-1 down to 1 carry the tail word of r.  A "11" can only
-    lie
-    * inside the z part: any two neighbours of per^inf are neighbours in
-      per + per, where ``synthesize`` already refused "11" by checking
-      the cycle's word, of which per is a rotation;
-    * inside a tail word: each word is checked once;
-    * at the junction, positions i0 and i0-1: the z digit
-      z_(n-i0) = per[(r - i0 - 1) % M], since per has length M, and the
-      word's first character.
-    So one pass over the residues covers every n.
-    """
-    for r, zc in spec.z.items():
-        word = spec.tail[r]
-        if "11" in word:
-            raise SynthesisError(f"tail word for a={spec.a}, class {r} contains '11'")
-        if zc.period[(r - spec.i0 - 1) % spec.M] == "1" and word.startswith("1"):
-            raise SynthesisError(
-                f"assembled digits contain '11' for a={spec.a}, n≡{r}"
-            )
-
-
-# (per, qs, k): qs = [q_0, ..., q_M], so p_j = q_(j+1) - q_j; see _digit_cycles
-_Cycle = tuple[str, list[int], int]
-
-
 class _PhiFloors(dict):
     """floor(phi*v) for an int v, computed with ``isqrt`` on first use and kept.
 
@@ -281,30 +252,26 @@ class _PhiFloors(dict):
         return f
 
 
-def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
-    """Walk the digit-orbit cycle of b/a once for every b in ``wanted``.
+def _orbit(a: int, b: int, steps: int, fl: _PhiFloors) -> tuple[str, list[int]]:
+    """Walk the digit orbit of b/a from (b, 0) for at most min(steps, 6a) steps.
 
-    Maps each b to (per, qs, k): the digit word of the cycle as walked
-    from its first b, the list qs = [q_0, ..., q_M] of the q parts of the
-    orbit states (p_j + q_j*phi)/a in that order, and the position k of
-    (b, 0) among them.  Each step is the digit map of ``expand`` with
+    Returns the digit word of the L steps walked and the list
+    qs = [q_0, ..., q_(L+1)] of the q parts of the orbit states
+    (p_j + q_j*phi)/a.  Each step is the digit map of ``expand`` with
     den = a (b/a is reduced, as b is a unit mod a): the digit d_j is 1
     exactly when (q_j - a) + (p_j + q_j)*phi >= 0, and the next state is
     (q_j - a*d_j, p_j + q_j).  So q_(j+1) = p_j + q_j, and one int per
     step keeps the whole orbit: state j is (p_j, q_j) = (q_(j+1) - q_j,
-    q_j), with q_M = q_0 = 0.  The walk runs on the pair
-    (q_j, q_(j+1)), from (0, b), with
-    q_(j+2) = q_(j+1) + q_j - a*d_j.  b/a has the period per[k:] + per[:k]
-    and its j-th orbit state is state (k + j) % M of the cycle.  Every b
-    on a cycle shares its ``per`` and ``qs``, and k = 0 exactly for the
-    cycle's first b.
+    q_j).  The walk runs on the pair (q_j, q_(j+1)), from (0, b), with
+    q_(j+2) = q_(j+1) + q_j - a*d_j, and stops early when it is back at
+    (b, 0), so the walk closed exactly when qs ends in [0, b].
 
-    The digit test is one lookup in a ``_PhiFloors`` memo, one per call:
-    with v = q_(j+1), d_j = 1 exactly when q_j + floor(phi*v) >= a.  For
+    The digit test is one lookup in the ``_PhiFloors`` memo ``fl``: with
+    v = q_(j+1), d_j = 1 exactly when q_j + floor(phi*v) >= a.  For
     v != 0, a - phi*v is irrational, so q_j >= a - phi*v holds for the
     integer q_j exactly when q_j >= ceil(a - phi*v) = a - floor(phi*v);
     for v = 0 both tests read q_j >= a.  The memo holds one entry per
-    distinct q the walks reach, so at most min(cycles * M, about phi*a)
+    distinct q the walks reach, so at most min(steps walked, about phi*a)
     entries: x = (p + q*phi)/a and its conjugate x' = (p + q*psi)/a give
     q = a(x - x')/sqrt5, and x is in [0, 1) while x' is in (-phi, 1)
     (module docstring), so q lies in (-a/sqrt5, a*phi^2/sqrt5).  The walk
@@ -312,40 +279,65 @@ def _digit_cycles(a: int, m_per: int, wanted: set[int]) -> dict[int, _Cycle]:
     whole range would cost O(a) even where M, which can be as small as
     about 2 log_phi a (a = F_k has M = 2k or 4k), is far below a.
 
-    The walk from (b, 0) must be back there after M = ``m_per`` steps, or
-    synthesis fails; so the period length L divides M.  M | L always
-    holds: mod a the step is the Fibonacci step (p, q) -> (q, p + q), so
-    after k steps the state is b*(F_(k-1), F_k) mod a; b = -F_r^-1 mod a is
-    a unit, so the state is back at (b, 0) only if (F_k, F_(k+1)) = (0, 1)
-    mod a, that is only if M | k.  Hence L = M, and every cycle of every a
-    in [2, 1000] closes (``scripts/period_sweep.py``).
+    A closed walk has length L = M = pi(a).  Mod a the step is the
+    Fibonacci step (p, q) -> (q, p + q), so after k steps the state is
+    b*(F_(k-1), F_k) mod a; b = -F_r^-1 mod a is a unit, so the state is
+    back at (b, 0) only if (F_k, F_(k+1)) = (0, 1) mod a, that is only if
+    M | k.  ``synthesize`` checks that the walk closes after M steps, and
+    every cycle of every a in [2, 1000] does (``scripts/period_sweep.py``).
+    As M <= 6a, a walk that has not closed after 6a steps never does.
     """
-    fl = _PhiFloors()
-    cycles: dict[int, _Cycle] = {}
-    for b in sorted(wanted):
-        if b in cycles:
-            continue
-        digits = bytearray(b"0") * m_per
-        qs = [0]
-        starts: list[tuple[int, int]] = []  # (b', k) for each wanted b' passed
-        u, v = 0, b  # (q_j, q_(j+1))
-        for j in range(m_per):
-            if not u and v in wanted:
-                starts.append((v, j))
-            if u + fl[v] >= a:
-                digits[j] = 49  # "1"
-                u, v = v, u + v - a
-            else:
-                u, v = v, u + v
-            qs.append(u)
-        if (u, v) != (0, b):
-            raise SynthesisError(
-                f"digit orbit of b/a = {b}/{a} does not close after M = {m_per} steps"
-            )
-        per = digits.decode()
-        for b_on, k in starts:
-            cycles[b_on] = (per, qs, k)
-    return cycles
+    digits = bytearray(b"0") * min(steps, 6 * a)
+    qs = [0, b]
+    u, v = 0, b  # (q_j, q_(j+1))
+    for j in range(len(digits)):
+        if u + fl[v] >= a:
+            digits[j] = 49  # "1"
+            u, v = v, u + v - a
+        else:
+            u, v = v, u + v
+        qs.append(v)
+        if not u and v == b:
+            break
+    return digits[: len(qs) - 2].decode(), qs
+
+
+def _tail(
+    a: int, n: int, i0: int, per: str, p: int, q: int, fibs: list[int]
+) -> tuple[int, str]:
+    """The tail value and word of n, from the orbit state (p + q*phi)/a.
+
+    ``per`` is the digit word of b_r/a with r = n mod M (the period, or a
+    prefix of at least n - i0 digits) and (p, q) its orbit state n - i0.
+    The value R(n) = (1 + p F_i0 + q F_(i0+1)) / a (module docstring) must
+    be a non-negative integer, and ``_greedy_word`` refuses it at F_i0 or
+    above.  The word must hold no "11", and neither may the junction,
+    positions i0 and i0-1: the z digit z_(n-i0) = per[(n - i0 - 1) % L]
+    and the word's first character.  ``fibs`` is F_0, ... up to F_(i0+1).
+    """
+    value, rest = divmod(1 + p * fibs[i0] + q * fibs[i0 + 1], a)
+    if rest or value < 0:
+        raise SynthesisError(
+            f"remainder is not a non-negative integer for a={a}, n={n}"
+        )
+    word = _greedy_word(value, i0, fibs)
+    if "11" in word:
+        raise SynthesisError(f"tail word for a={a}, n={n} contains '11'")
+    if per[(n - i0 - 1) % len(per)] == "1" and word.startswith("1"):
+        raise SynthesisError(f"assembled digits contain '11' for a={a}, n={n}")
+    return value, word
+
+
+def _check_period(a: int, b: int, per: str) -> None:
+    """Refuse a digit period that ``EventuallyPeriodicBits`` refuses.
+
+    Its checks ("11" in per + per among them) are invariant under
+    rotation, so one check covers every b on the cycle.
+    """
+    try:
+        EventuallyPeriodicBits("", per)
+    except DomainError as exc:
+        raise SynthesisError(f"digits of b/a = {b}/{a}: {exc}") from exc
 
 
 def synthesize(a: int) -> PatternSpec:
@@ -354,61 +346,94 @@ def synthesize(a: int) -> PatternSpec:
     M and the residues come from one walk of (F_r, F_(r+1)) mod a,
     ``fib_residues``, with b_r = -F_r^-1 mod a where gcd(a, F_r) = 1.
     Residues whose b_r share a digit-orbit cycle share its digits up to
-    rotation, so each cycle is walked once with the integer digit step,
-    and every state (b', 0) on it starts the digits of b'/a (see
-    ``_digit_cycles``).  The checks of ``EventuallyPeriodicBits`` are
-    invariant under rotation, so it runs once per cycle.
-    Each residue r's tail value is R(n) = (1 + p_k F_i0 + q_k F_(i0+1)) / a
-    at the orbit state k = (r - i0) mod M of the same walk (see the module
-    docstring).  It must be a non-negative integer, below F_i0 so that
-    ``_greedy_word`` spells it under position i0, and it is cross-checked
-    against the big-integer oracle at the first n >= n0 in r's class.
+    rotation, so each cycle is walked once by ``_orbit``, and every state
+    (b', 0) at step j of it starts the digits of b'/a, per[j:] + per[:j].
+    Each cycle's residues are handled as soon as it is walked, and its
+    states are then dropped.  Residue r's tail value is read at the orbit
+    state (r - i0) mod M of b_r/a by ``_tail`` and cross-checked against
+    the big-integer oracle at the first n >= n0 in r's class.
     """
     if a < 2:
         raise DomainError(f"need a >= 2, got {a}")
 
     fs = list(fib_residues(a))
     m_per = len(fs)
-    b_of = {r: -pow(f, -1, a) % a for r, f in enumerate(fs) if math.gcd(a, f) == 1}
-
-    cycles = _digit_cycles(a, m_per, set(b_of.values()))
-    for b, (per, _, offset) in cycles.items():
-        if offset == 0:  # the cycle's first b; the others hold rotations
-            try:
-                EventuallyPeriodicBits("", per)
-            except DomainError as exc:
-                raise SynthesisError(f"digits of b/a = {b}/{a}: {exc}") from exc
+    residues_of: dict[int, list[int]] = {}  # b -> the residues r with b_r = b
+    # z and tail take their keys in residue order, which the sorts of the
+    # canonical text then find already in order; each cycle fills its values.
+    z: dict[int, ZClass | None] = {}
+    tail: dict[int, str | None] = {}
+    for r, f in enumerate(fs):
+        if math.gcd(a, f) == 1:
+            residues_of.setdefault(-pow(f, -1, a) % a, []).append(r)
+            z[r] = tail[r] = None
+    # q_j = b F_j (mod a) on every cycle (see _orbit), so q_j = 0 only where
+    # a | F_j, that is at multiples of the first such j >= 1.
+    alpha = (fs + [0]).index(0, 1)
     i0 = _i0(a)
     n0 = i0 + 1  # PatternSpec.n0; every n < n0 + M has n - i0 <= M
 
     # One table for the tail values, their words and the cross-check,
     # which reads F_(n-1) for n up to n0 + M - 1.
     fibs = _fib_table(n0 + m_per - 1)
-    f_i0, f_i1 = fibs[i0], fibs[i0 + 1]
-    z: dict[int, ZClass] = {}
-    tail: dict[int, str] = {}
-    for r, b in b_of.items():
-        per, qs, offset = cycles[b]
-        per = per[offset:] + per[:offset]
-        z[r] = ZClass(b, per)
-        k = (offset + r - i0) % m_per
-        q = qs[k]
-        p = qs[k + 1] - q
-        value, rest = divmod(1 + p * f_i0 + q * f_i1, a)
-        n = n0 + (r - n0) % m_per
-        if rest or value < 0:
+    fl = _PhiFloors()
+    for b in sorted(residues_of):
+        if z[residues_of[b][0]]:  # on a cycle already walked
+            continue
+        per, qs = _orbit(a, b, m_per, fl)
+        if len(per) != m_per or qs[-2:] != [0, b]:
             raise SynthesisError(
-                f"remainder is not a non-negative integer for a={a}, n={n}"
+                f"digit orbit of b/a = {b}/{a} does not close after M = {m_per} steps"
             )
-        if value != _exact_remainder(a, n, i0, per, fibs):
-            raise SynthesisError(
-                f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
-            )
-        tail[r] = _greedy_word(value, i0, fibs)
+        _check_period(a, b, per)
+        for j in range(0, m_per, alpha):
+            if qs[j]:  # not a state (b', 0)
+                continue
+            for r in residues_of.get(qs[j + 1], ()):
+                per_r = per[j:] + per[:j]
+                n = n0 + (r - n0) % m_per
+                k = (j + r - i0) % m_per
+                q = qs[k]
+                value, tail[r] = _tail(a, n, i0, per_r, qs[k + 1] - q, q, fibs)
+                if value != _exact_remainder(a, n, i0, per_r, fibs):
+                    raise SynthesisError(
+                        f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
+                    )
+                z[r] = ZClass(qs[j + 1], per_r)
+    return PatternSpec(a=a, M=m_per, z=z, tail=tail)
 
-    spec = PatternSpec(a=a, M=m_per, z=z, tail=tail)
-    _junction_scan(spec)
-    return spec
+
+def _inverse_at(a: int, n: int) -> ZeckendorfRep:
+    """The pattern's representation of (a^-1 mod F_n), from one orbit walk.
+
+    Equal to ``evaluate(synthesize(a), n)`` for a >= 2 and n > i0, with
+    no Pisano walk and no spec: b = -F_n^-1 mod a comes from ``fib_mod``,
+    and the orbit of b/a is walked for n - i0 steps or until it closes
+    after L = M steps.  The walked word serves as the period, so the tail
+    is read at n' = i0 + ((n - i0 - 1) mod L) + 1, the n' <= n with
+    n' = n (mod L) whose z part is one prefix of the word, and the
+    representation at n' is checked against the oracle.
+    """
+    i0 = _i0(a)
+    if a < 2 or n <= i0:
+        raise DomainError(f"need a >= 2 and n > i0 = {i0}, got a={a}, n={n}")
+    f = fib_mod(n, a)
+    g = math.gcd(a, f)
+    if g > 1:
+        raise NotCoprime(g)
+    b = -pow(f, -1, a) % a
+    per, qs = _orbit(a, b, n - i0, _PhiFloors())
+    if qs[-2:] == [0, b]:
+        _check_period(a, b, per)
+    elif len(per) < n - i0:
+        raise SynthesisError(f"digit orbit of b/a = {b}/{a} does not close")
+    k = (n - i0 - 1) % len(per) + 1
+    _, word = _tail(a, i0 + k, i0, per, qs[k + 1] - qs[k], qs[k], _fib_table(i0 + 1))
+    if not matches_oracle(_assemble(i0 + k, i0, per, word), a, i0 + k):
+        raise SynthesisError(
+            f"orbit remainder disagrees with exact remainder at a={a}, n={i0 + k}"
+        )
+    return _assemble(n, i0, per, word)
 
 
 # --------------------------------------------------------------------------
@@ -427,16 +452,8 @@ def _no_class_error(spec: PatternSpec, n: int) -> NotCoprime | DomainError:
 def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     """Zeckendorf representation of (a^-1 mod F_n) by pure digit assembly.
 
-    Never touches F_n or the inverse value.  Position i in [i0, n-1]
-    carries z_(n-i), so a 1-digit at offset o of the residue's period
-    (length L_r = M) puts the arithmetic progression n-1-o, n-1-o-L_r, ...
-    into the output.  The full period blocks are one ``range`` per
-    1-offset, interleaved block by block by ``zip`` into one list, so the
-    per-index work runs in C; the partial top block and the tail word
-    follow.  The 1-positions of the period, of the partial block and of
-    the tail word each come from ``compress`` over the word's digits, so
-    the cost is C-level passes of O(M + i0) plus O(number of indices), and
-    nothing is kept on the spec.
+    Never touches F_n or the inverse value: the residue's period and tail
+    word go to ``_assemble``, and nothing is kept on the spec.
     """
     i0 = spec.i0
     if n <= i0:
@@ -445,8 +462,24 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     zc = spec.z.get(r)
     if zc is None:
         raise _no_class_error(spec, n)
+    return _assemble(n, i0, zc.period, spec.tail[r])
 
-    per = zc.period
+
+def _assemble(n: int, i0: int, per: str, word: str) -> ZeckendorfRep:
+    """The representation of n from the residue's digits and tail word.
+
+    ``per`` is the digit period of b_r/a (or a prefix of at least n - i0
+    of its digits) and ``word`` the tail word over positions i0-1 down
+    to 1.  Position i in [i0, n-1] carries z_(n-i), so a 1-digit at offset
+    o of ``per`` (length L_r) puts the arithmetic progression n-1-o,
+    n-1-o-L_r, ... into the output.  The full period blocks are one
+    ``range`` per 1-offset, interleaved block by block by ``zip`` into one
+    list, so the per-index work runs in C; the partial top block and the
+    tail word follow.  The 1-positions of the period, of the partial block
+    and of the tail word each come from ``compress`` over the word's
+    digits, so the cost is C-level passes of O(L_r + i0) plus O(number of
+    indices).
+    """
     lr = len(per)
     bits = _bits(per)
 
@@ -464,7 +497,6 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     )
     indices.extend(compress(range(base, base - rem, -1), bits[:rem]))
     # Tail word: character j corresponds to position i0 - 1 - j.
-    word = spec.tail[r]
     indices.extend(compress(range(i0 - 1, 0, -1), _bits(word)))
 
     if word and word[-1] == "1":

@@ -71,6 +71,22 @@ def _no_synthesis(a):
     raise AssertionError(f"synthesize({a}) called")
 
 
+@pytest.mark.parametrize("a, n", [(1000000000039, 100), (1548008755920, 199)])
+def test_inverse_auto_at_huge_a_walks_one_orbit(capsys, monkeypatch, a, n):
+    # Neither a synthesis nor a Pisano walk (pi(a) steps at these a) may
+    # run; n > i0, so the answer still comes from the pattern.
+    def no_pisano_walk(m):
+        raise AssertionError(f"fib_residues({m}) called")
+
+    monkeypatch.setattr(zeckinv.cli, "synthesize", _no_synthesis)
+    monkeypatch.setattr(zeckinv.pattern, "fib_residues", no_pisano_walk)
+    code, out = run(capsys, "inverse", str(a), str(n), "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["method"] == "pattern"
+    assert data["value"] == inverse_oracle(a, n)
+
+
 def test_inverse_below_n0_does_not_synthesize(capsys, monkeypatch):
     # n0 = i0 + 1 = 15 for a = 100 depends on a alone: below it, auto
     # answers by the closed form and --method pattern is refused, both
@@ -263,14 +279,19 @@ def test_exit_code_domain_errors(capsys):
 
 def test_exit_code_synthesis_error_from_invalid_digits(capsys, monkeypatch):
     # Digits that EventuallyPeriodicBits refuses are a synthesis failure
-    # (exit 1), not a bad argument (exit 2).
-    def all_ones(a, m_per, wanted):
-        return {b: ("1" * m_per, [], 0) for b in wanted}
+    # (exit 1), not a bad argument (exit 2), in synthesis and in a
+    # single-n walk that closes (a = 7 has M = 16 and i0 = 9).
+    real = zeckinv.pattern._orbit
 
-    monkeypatch.setattr(zeckinv.pattern, "_digit_cycles", all_ones)
-    code = main(["pattern", "7"])
-    assert code == 1
-    assert "consecutive 1s" in capsys.readouterr().err
+    def all_ones(a, b, steps, fl):
+        per, qs = real(a, b, steps, fl)
+        return "1" * len(per), qs
+
+    monkeypatch.setattr(zeckinv.pattern, "_orbit", all_ones)
+    for argv in (["pattern", "7"], ["inverse", "7", "41", "--method", "pattern"]):
+        code = main(argv)
+        assert code == 1
+        assert "consecutive 1s" in capsys.readouterr().err
 
 
 def test_exit_code_not_coprime(capsys):

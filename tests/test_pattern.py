@@ -48,11 +48,11 @@ from zeckinv import (
 )
 from zeckinv.cli import _a2_expected_indices
 from zeckinv.pattern import (
-    _digit_cycles,
     _fib_table,
     _greedy_word,
     _i0,
-    _junction_scan,
+    _inverse_at,
+    _orbit,
     _pattern_text,
     _PhiFloors,
 )
@@ -384,15 +384,18 @@ def test_synthesize_expands_once_per_cycle(monkeypatch, a, cycles):
 def test_synthesize_keeps_one_int_per_orbit_step():
     # a = 250 has M = 1500 and 800 residues on 25 cycles of 1500 states.
     # One int per step peaks near 2 MiB; a (p, q) tuple per step passes
-    # 4 MiB.
-    tracemalloc.start()
-    try:
-        spec = synthesize(250)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert spec.M == 1500
-    assert peak < 3 * 2**20
+    # 4 MiB.  a = 1000 (M = 1500, 800 residues on 200 cycles) stays
+    # below 3 MiB only if each cycle's states are dropped once its
+    # residues are done; kept for every cycle they pass 10 MiB.
+    for a in (250, 1000):
+        tracemalloc.start()
+        try:
+            spec = synthesize(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spec.M == 1500
+        assert peak < 3 * 2**20, a
 
 
 def _flipped(step):
@@ -461,12 +464,21 @@ def test_phi_floors_match_sign_of():
 
 def test_orbit_states_lie_in_the_proven_range():
     # The bound on the memo's size: every q of every cycle, and so every
-    # key looked up, lies in (-a/sqrt5, a*phi^2/sqrt5).
+    # key looked up, lies in (-a/sqrt5, a*phi^2/sqrt5).  Each cycle is
+    # walked once, from its smallest b not yet on a walked cycle.
     for a in range(2, 401):
         fs = [fib(r) % a for r in range(pisano(a))]
         wanted = {-pow(f, -1, a) % a for f in fs if math.gcd(a, f) == 1}
-        qs = {q for _, cycle, _ in _digit_cycles(a, len(fs), wanted).values() for q in cycle}
+        fl = _PhiFloors()
+        qs = set()
+        while wanted:
+            b = min(wanted)
+            per, cycle = _orbit(a, b, len(fs), fl)
+            assert len(per) == len(fs) and cycle[-2:] == [0, b], a
+            wanted -= {cycle[j + 1] for j in range(len(per)) if cycle[j] == 0}
+            qs.update(cycle)
         assert all(_inside_proven_range(a, q) for q in qs), a
+        assert all(_inside_proven_range(a, v) for v in fl), a
 
 
 def test_synthesis_cost_follows_m_not_a():
@@ -508,6 +520,44 @@ def test_synthesize_cross_checks_tail_values_against_the_oracle(monkeypatch):
     monkeypatch.setattr(zeckinv.pattern, "inverse_oracle", off_by_one)
     with pytest.raises(SynthesisError, match=r"exact remainder at a=7, n=\d+$"):
         synthesize(7)
+
+
+def test_inverse_at_cross_checks_against_the_oracle(monkeypatch):
+    def off_by_one(a, n):
+        return inverse_oracle(a, n) + 1
+
+    monkeypatch.setattr(zeckinv.pattern, "inverse_oracle", off_by_one)
+    for n in (20, 201):  # walks that stop short of M = 16 steps and that close
+        with pytest.raises(SynthesisError, match=r"exact remainder at a=7, n=\d+$"):
+            _inverse_at(7, n)
+
+
+@pytest.mark.parametrize("a", range(2, 61))
+def test_inverse_at_matches_the_synthesized_spec(a):
+    # Every admissible n of [n0, n0 + 2M]: walks that stop short of M
+    # steps, walks that close, and n past the first period.
+    spec = synthesize(a)
+    for n in range(spec.n0, spec.n0 + 2 * spec.M + 1):
+        if spec.is_admissible(n):
+            assert _inverse_at(a, n) == evaluate(spec, n), n
+        else:
+            with pytest.raises(NotCoprime):
+                _inverse_at(a, n)
+
+
+@pytest.mark.parametrize("a, n", [(4, 8), (5, 22)])
+def test_inverse_at_accepts_a_walked_prefix_with_1s_at_both_ends(a, n):
+    # The walk stops short of closing, and its word starts and ends with
+    # "1"; it is a prefix, not a period, so its ends are not neighbours.
+    per, qs = _orbit(a, -pow(fib(n) % a, -1, a) % a, n - _i0(a), _PhiFloors())
+    assert per[0] == per[-1] == "1" and len(per) == n - _i0(a) < pisano(a)
+    assert _inverse_at(a, n) == evaluate(synthesize(a), n) == encode(inverse_oracle(a, n))
+
+
+def test_inverse_at_refuses_n_not_above_i0():
+    for a, n in ((1, 10), (2, 6), (1000, 19)):
+        with pytest.raises(DomainError):
+            _inverse_at(a, n)
 
 
 def _encoded_word(value, i0):
@@ -619,10 +669,17 @@ def test_plain_records_are_immutable_named_tuples(record, text):
     ],
     ids=["junction", "inner"],
 )
-def test_junction_scan_refuses_adjacent_ones(spec2, tail):
+def test_junction_scan_refuses_adjacent_ones(spec2, monkeypatch, tail):
+    # The tail values of a = 2 are 7 (class 1) and 3 (class 2); the
+    # greedy word of class 2 is replaced, and both synthesis and the
+    # single-n path at n = 8 (class 2) refuse it.
     assert spec2.z[2].period[(8 - spec2.i0 - 1) % 3] == "1"
+    words = {7: tail[1], 3: tail[2]}
+    monkeypatch.setattr(zeckinv.pattern, "_greedy_word", lambda value, i0, fibs: words[value])
     with pytest.raises(SynthesisError, match="11"):
-        _junction_scan(dataclasses.replace(spec2, tail=tail))
+        synthesize(2)
+    with pytest.raises(SynthesisError, match="11"):
+        _inverse_at(2, 8)
 
 
 # --- the digit-stream view -------------------------------------------------------
@@ -782,7 +839,7 @@ def test_verify_reports_content_damage(spec2):
     ],
 )
 def test_verify_counts_non_canonical_rep_as_mismatch(spec2, word):
-    # Built directly: the loader's junction scan would refuse this spec.
+    # Built directly: synthesis, and so the loader, would refuse this word.
     assert spec2.tail[2] == "01000"
     bad = dataclasses.replace(spec2, tail={1: spec2.tail[1], 2: word})
     report = verify(bad, 8, 40)
