@@ -62,9 +62,6 @@ class EventuallyPeriodicBits:
         if self.period in ("01", "10"):
             raise DomainError("tail is ultimately alternating 0,1,0,1,...")
 
-    def digit_at(self, i: int) -> int:
-        return digit_at(self, i)
-
     def render(self) -> str:
         """Text form "pre|period", e.g. "|010" or "1|0"."""
         return f"{self.preperiod}|{self.period}"
@@ -81,20 +78,6 @@ def _primitive_root(word: str) -> str:
     that p divides len(word).
     """
     return word[: (word + word).find(word, 1)]
-
-
-def _canonical_bits(pre: str, per: str) -> EventuallyPeriodicBits:
-    """Build canonical EventuallyPeriodicBits from any (pre, per) pair.
-
-    Rolls the preperiod back while its last digit coincides with the
-    period's last digit (rotating the period correspondingly), then
-    reduces the period to its primitive root.
-    """
-    while pre and pre[-1] == per[-1]:
-        per = per[-1] + per[:-1]
-        pre = pre[:-1]
-    per = _primitive_root(per)
-    return EventuallyPeriodicBits(pre, per)
 
 
 def _unit_interval_pair(x: QPhi | Fraction | int) -> tuple[int, int, int]:
@@ -127,7 +110,8 @@ def expand(x: QPhi | Fraction | int) -> EventuallyPeriodicBits:
     States are keyed exactly, so the first revisited state splits the digit
     stream into the minimal preperiod and the primitive period (two
     positions carry equal digit tails if and only if they carry equal
-    states, since the state is determined by the remaining value).
+    states, since the state is determined by the remaining value).  The
+    split is returned as it is; ``EventuallyPeriodicBits`` checks both.
     """
     from .qphi import sign_of
     p, q, den = _unit_interval_pair(x)
@@ -143,7 +127,7 @@ def expand(x: QPhi | Fraction | int) -> EventuallyPeriodicBits:
     pre_len = seen[state]
     word = "".join("1" if d else "0" for d in digits)
     try:
-        return _canonical_bits(word[:pre_len], word[pre_len:])
+        return EventuallyPeriodicBits(word[:pre_len], word[pre_len:])
     except DomainError as exc:
         raise InternalInvariantViolation(
             f"digit stream of {x} left the valid class: {exc}"

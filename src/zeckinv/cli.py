@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from functools import partial
 from itertools import compress
 
 from .basephi import expand
@@ -45,10 +47,33 @@ def _print_json(obj: object) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _rep_text(value: int, rep) -> str:
-    fsum = "+".join(f"F{i}" for i in rep.indices)
-    idx = ",".join(str(i) for i in rep.indices)
-    return f"{value} = {fsum} (indices {idx}; bits {to_bit_string(rep)})"
+@contextmanager
+def _ints_in_full():
+    """Lift the interpreter's int -> str digit limit (4,300 digits by
+    default) while the CLI writes out its own results; argv and pattern
+    files keep it.  Interpreters without the limit run the block as is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _print_rep(as_json: bool, value: int, rep, fields: dict, note: str) -> None:
+    """Print ``value`` and its representation ``rep`` in full, at any size:
+    as JSON with the extra ``fields``, or as text followed by ``note``."""
+    bits = to_bit_string(rep)
+    with _ints_in_full():
+        if as_json:
+            fields.update(value=value, indices=list(rep.indices), bits=bits)
+            _print_json(fields)
+        else:
+            fsum = "+".join(f"F{i}" for i in rep.indices)
+            idx = ",".join(str(i) for i in rep.indices)
+            print(f"{value} = {fsum} (indices {idx}; bits {bits}){note}")
 
 
 # --------------------------------------------------------------------------
@@ -81,54 +106,32 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 
 def cmd_inverse(args: argparse.Namespace) -> int:
     a, n, method = args.a, args.n, args.method
-    if method == "oracle":
-        value = inverse_oracle(a, n)
-        rep = encode(value)
-    elif method == "closed":
-        value = inverse_closed(a, n).value
-        rep = encode(value)
-    else:
+    if method == "auto":
         # n0 = i0 + 1 depends on a alone; above i0 one orbit walk answers.
-        use_pattern = a >= 2 and n > _i0(a)
-        if method == "pattern" and not use_pattern:
-            raise DomainError(
-                f"pattern method needs a >= 2 and n >= n0, got a={a}, n={n}"
-            )
-        if use_pattern:
-            rep = _inverse_at(a, n)
-            value = decode(rep)
-            method = "pattern"
-        else:
-            value = inverse_closed(a, n).value
-            rep = encode(value)
-            method = "closed"
+        method = "pattern" if a >= 2 and n > _i0(a) else "closed"
+    if method == "pattern":
+        rep = _inverse_at(a, n)
+        value = decode(rep)
+    else:
+        value = (
+            inverse_oracle(a, n) if method == "oracle" else inverse_closed(a, n).value
+        )
+        rep = encode(value)
 
     cross_checked = False
     if args.debug:
         oracle = inverse_oracle(a, n)
         if oracle != value:
-            print(
-                f"error: {method} value {value} != oracle {oracle}",
-                file=sys.stderr,
-            )
+            with _ints_in_full():
+                print(
+                    f"error: {method} value {value} != oracle {oracle}", file=sys.stderr
+                )
             return 4
         cross_checked = True
 
-    if args.json:
-        _print_json(
-            {
-                "a": a,
-                "n": n,
-                "value": value,
-                "method": method,
-                "indices": list(rep.indices),
-                "bits": to_bit_string(rep),
-                "cross_checked": cross_checked,
-            }
-        )
-    else:
-        suffix = "  [cross-checked]" if cross_checked else ""
-        print(_rep_text(value, rep) + suffix)
+    fields = {"a": a, "n": n, "method": method, "cross_checked": cross_checked}
+    note = "  [cross-checked]" if cross_checked else ""
+    _print_rep(args.json, value, rep, fields, note)
     return 0
 
 
@@ -141,12 +144,7 @@ def cmd_zeckendorf(args: argparse.Namespace) -> int:
             raise DomainError("need an integer to encode or --decode BITS")
         value = args.n
         rep = encode(value)
-    if args.json:
-        _print_json(
-            {"value": value, "indices": list(rep.indices), "bits": to_bit_string(rep)}
-        )
-    else:
-        print(_rep_text(value, rep))
+    _print_rep(args.json, value, rep, {}, "")
     return 0
 
 
@@ -273,14 +271,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cross-check inverse results against the big-integer oracle",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    add_command = partial(sub.add_parser, parents=[json_flag])
 
-    p = sub.add_parser("pattern", help="synthesize the periodic pattern for a")
+    p = add_command("pattern", help="synthesize the periodic pattern for a")
     p.add_argument("a", type=int)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--out", metavar="FILE", help="also save the pattern as JSON")
     p.set_defaults(func=cmd_pattern)
 
-    p = sub.add_parser("inverse", help="compute (a^-1 mod F_n)")
+    p = add_command("inverse", help="compute (a^-1 mod F_n)")
     p.add_argument("a", type=int)
     p.add_argument("n", type=int)
     p.add_argument(
@@ -288,39 +288,31 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("auto", "pattern", "closed", "oracle"),
         default="auto",
     )
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inverse)
 
-    p = sub.add_parser("zeckendorf", help="encode an integer / decode a bit word")
+    p = add_command("zeckendorf", help="encode an integer / decode a bit word")
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--decode", metavar="BITS", help="bit word, positions down to 2")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_zeckendorf)
 
-    p = sub.add_parser(
-        "basephi", help="digit expansion of u + v*phi in [0, 1)"
-    )
+    p = add_command("basephi", help="digit expansion of u + v*phi in [0, 1)")
     p.add_argument("u", help="rational u (e.g. 1/2), or a 'u + v*phi' literal")
     p.add_argument("v", nargs="?", help="rational v (default 0)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_basephi)
 
-    p = sub.add_parser("pisano", help="period of the Fibonacci sequence mod m")
+    p = add_command("pisano", help="period of the Fibonacci sequence mod m")
     p.add_argument("m", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pisano)
 
-    p = sub.add_parser("verify", help="sweep evaluate against the oracle")
+    p = add_command("verify", help="sweep evaluate against the oracle")
     p.add_argument("a", type=int)
     p.add_argument("--n-range", required=True, metavar="LO..HI")
     p.add_argument("--spec", metavar="FILE", help="load pattern instead of synthesizing")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser(
+    p = add_command(
         "paper-check", help="built-in a = 2 regression sweep (n in [8, 300])"
     )
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_paper_check)
 
     return parser

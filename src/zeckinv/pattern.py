@@ -348,10 +348,12 @@ def synthesize(a: int) -> PatternSpec:
     Residues whose b_r share a digit-orbit cycle share its digits up to
     rotation, so each cycle is walked once by ``_orbit``, and every state
     (b', 0) at step j of it starts the digits of b'/a, per[j:] + per[:j].
-    Each cycle's residues are handled as soon as it is walked, and its
-    states are then dropped.  Residue r's tail value is read at the orbit
-    state (r - i0) mod M of b_r/a by ``_tail`` and cross-checked against
-    the big-integer oracle at the first n >= n0 in r's class.
+    That word is built once, and its ZClass is shared by every residue r
+    with b_r = b'.  Each cycle's residues are handled as soon as it is
+    walked, and its states are then dropped.  Residue r's tail value is
+    read at the orbit state (r - i0) mod M of b_r/a by ``_tail`` and
+    cross-checked against the big-integer oracle at the first n >= n0 in
+    r's class.
     """
     if a < 2:
         raise DomainError(f"need a >= 2, got {a}")
@@ -387,19 +389,19 @@ def synthesize(a: int) -> PatternSpec:
             )
         _check_period(a, b, per)
         for j in range(0, m_per, alpha):
-            if qs[j]:  # not a state (b', 0)
+            if qs[j] or qs[j + 1] not in residues_of:  # not at a state (b_r, 0)
                 continue
-            for r in residues_of.get(qs[j + 1], ()):
-                per_r = per[j:] + per[:j]
+            zc = ZClass(qs[j + 1], per[j:] + per[:j])
+            for r in residues_of[zc.b]:
                 n = n0 + (r - n0) % m_per
                 k = (j + r - i0) % m_per
                 q = qs[k]
-                value, tail[r] = _tail(a, n, i0, per_r, qs[k + 1] - q, q, fibs)
-                if value != _exact_remainder(a, n, i0, per_r, fibs):
+                value, tail[r] = _tail(a, n, i0, zc.period, qs[k + 1] - q, q, fibs)
+                if value != _exact_remainder(a, n, i0, zc.period, fibs):
                     raise SynthesisError(
                         f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
                     )
-                z[r] = ZClass(qs[j + 1], per_r)
+                z[r] = zc
     return PatternSpec(a=a, M=m_per, z=z, tail=tail)
 
 
@@ -412,11 +414,12 @@ def _inverse_at(a: int, n: int) -> ZeckendorfRep:
     after L = M steps.  The walked word serves as the period, so the tail
     is read at n' = i0 + ((n - i0 - 1) mod L) + 1, the n' <= n with
     n' = n (mod L) whose z part is one prefix of the word, and the
-    representation at n' is checked against the oracle.
+    representation at n' is checked against the oracle.  When n' = n,
+    that checked representation is the answer.
     """
     i0 = _i0(a)
     if a < 2 or n <= i0:
-        raise DomainError(f"need a >= 2 and n > i0 = {i0}, got a={a}, n={n}")
+        raise DomainError(f"need a >= 2 and n >= n0 = {i0 + 1}, got a={a}, n={n}")
     f = fib_mod(n, a)
     g = math.gcd(a, f)
     if g > 1:
@@ -429,11 +432,12 @@ def _inverse_at(a: int, n: int) -> ZeckendorfRep:
         raise SynthesisError(f"digit orbit of b/a = {b}/{a} does not close")
     k = (n - i0 - 1) % len(per) + 1
     _, word = _tail(a, i0 + k, i0, per, qs[k + 1] - qs[k], qs[k], _fib_table(i0 + 1))
-    if not matches_oracle(_assemble(i0 + k, i0, per, word), a, i0 + k):
+    rep = _assemble(i0 + k, i0, per, word)
+    if not matches_oracle(rep, a, i0 + k):
         raise SynthesisError(
             f"orbit remainder disagrees with exact remainder at a={a}, n={i0 + k}"
         )
-    return _assemble(n, i0, per, word)
+    return rep if i0 + k == n else _assemble(n, i0, per, word)
 
 
 # --------------------------------------------------------------------------

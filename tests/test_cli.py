@@ -1,7 +1,9 @@
 """End-to-end tests of the command line interface (golden outputs, exit codes)."""
 
+import contextlib
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -9,6 +11,8 @@ import zeckinv.cli
 import zeckinv.inverse
 import zeckinv.pattern
 from zeckinv import (
+    decode,
+    from_bit_string,
     from_json_dict,
     inverse_oracle,
     load_pattern,
@@ -314,3 +318,45 @@ def test_debug_cross_check(capsys):
     assert data["value"] == 45  # F9 + F6 + F4
     assert data["indices"] == [9, 6, 4]
     assert data.get("cross_checked") is True
+
+
+@contextlib.contextmanager
+def _ints_in_full():
+    """The test's own int <-> str conversions, past the interpreter's limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_values_past_the_int_str_limit_print_in_full(capsys):
+    # Past 4,300 digits str(int) raises under the interpreter's default
+    # limit; the CLI lifts it only while it prints, and then restores it.
+    limit = sys.get_int_max_str_digits()
+    bits = "1" + "0" * 25000
+    expected = {
+        ("inverse", "2", "30001"): inverse_oracle(2, 30001),  # 6,270 digits
+        ("zeckendorf", "--decode", bits): decode(from_bit_string(bits)),  # 5,225
+    }
+    for argv, value in expected.items():
+        for json_flag in ([], ["--json"]):
+            code, out = run(capsys, *argv, *json_flag)
+            assert code == 0
+            assert sys.get_int_max_str_digits() == limit
+            with _ints_in_full():
+                got = json.loads(out)["value"] if json_flag else int(out.split(" ")[0])
+            assert got == value, argv
+
+
+def test_debug_mismatch_prints_both_values_in_full(capsys, monkeypatch):
+    value = inverse_oracle(2, 30001)
+    monkeypatch.setattr(zeckinv.cli, "decode", lambda rep: decode(rep) + 1)
+    code = main(["--debug", "inverse", "2", "30001"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    with _ints_in_full():
+        want = f"error: pattern value {value + 1} != oracle {value}\n"
+    assert captured.err == want

@@ -398,6 +398,27 @@ def test_synthesize_keeps_one_int_per_orbit_step():
         assert peak < 3 * 2**20, a
 
 
+@pytest.mark.parametrize("a", [*range(2, 61), 1000])
+def test_residues_with_one_b_share_one_zclass(a):
+    # Residues with equal b_r have equal digit words, so synthesis builds
+    # each word once and hands the same ZClass to all of them.  Spec
+    # equality does not rest on that: a spec rebuilt field by field, with
+    # a ZClass of its own per residue, still equals it.
+    spec = synthesize(a)
+    first_of_b = {}
+    for r, zc in spec.z.items():
+        assert first_of_b.setdefault(zc.b, zc) is zc, (a, r)
+    data = to_json_dict(spec)
+    rebuilt = PatternSpec(
+        a=data["a"],
+        M=data["M"],
+        z={int(r): ZClass(e["b"], e["period_bits"]) for r, e in data["z"].items()},
+        tail={int(c): word for c, word in data["tail"].items()},
+    )
+    assert len({id(zc) for zc in rebuilt.z.values()}) == len(rebuilt.z)
+    assert rebuilt == spec
+
+
 def _flipped(step):
     """A digit rule that turns over the digit of lookup ``step`` (from 0)."""
     return lambda i, d: d != (i == step)
@@ -552,6 +573,24 @@ def test_inverse_at_accepts_a_walked_prefix_with_1s_at_both_ends(a, n):
     per, qs = _orbit(a, -pow(fib(n) % a, -1, a) % a, n - _i0(a), _PhiFloors())
     assert per[0] == per[-1] == "1" and len(per) == n - _i0(a) < pisano(a)
     assert _inverse_at(a, n) == evaluate(synthesize(a), n) == encode(inverse_oracle(a, n))
+
+
+def test_inverse_at_assembles_once_unless_n_is_past_the_first_period(monkeypatch):
+    # The representation checked against the oracle at n' is the answer
+    # when n' = n, that is when n - i0 <= M (M = 16 for a = 7).
+    calls = []
+
+    def spy(n, *rest):
+        calls.append(n)
+        return assemble(n, *rest)
+
+    assemble = zeckinv.pattern._assemble
+    monkeypatch.setattr(zeckinv.pattern, "_assemble", spy)
+    i0 = _i0(7)
+    for n in (i0 + 1, i0 + 16, i0 + 17, i0 + 40):  # admissible: 8 does not divide n
+        calls.clear()
+        assert _inverse_at(7, n) == encode(inverse_oracle(7, n))
+        assert len(calls) == (1 if n - i0 <= 16 else 2), n
 
 
 def test_inverse_at_refuses_n_not_above_i0():
