@@ -43,6 +43,14 @@ def fib(n: int) -> int:
     return fib_pair(n)[0]
 
 
+def _fib_table(top: int) -> list[int]:
+    """[F_0, F_1, ..., F_top], by addition."""
+    fibs = [0, 1]
+    for _ in range(top - 1):
+        fibs.append(fibs[-2] + fibs[-1])
+    return fibs
+
+
 def fib_mod(n: int, m: int) -> int:
     """Return F_n mod m via fast doubling in modular arithmetic."""
     if n < 0:

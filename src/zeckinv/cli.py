@@ -16,7 +16,7 @@ from functools import partial
 from itertools import compress
 
 from .basephi import expand
-from .bigfib import pisano
+from .bigfib import _fib_table, pisano
 from .errors import (
     DomainError,
     InvalidRep,
@@ -26,7 +26,6 @@ from .errors import (
 )
 from .inverse import inverse_closed, inverse_oracle
 from .pattern import (
-    _fib_table,
     _i0,
     _inverse_at,
     _pattern_text,

@@ -11,21 +11,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .bigfib import fib, fib_mod, mod_inverse, pisano
+from .bigfib import fib, fib_mod
 from .errors import DomainError, InternalInvariantViolation, NotCoprime
 
 __all__ = ["InverseResult", "inverse_closed", "inverse_oracle"]
 
-
-class InverseResult(namedtuple("InverseResult", "a n value b")):
-    """Closed-form inverse together with its certificate b."""
-
-    __slots__ = ()
-
-    @property
-    def r(self) -> int:
-        """The residue n mod pi(a), which fixes b; computed when read."""
-        return self.n % pisano(self.a)
+# The closed-form inverse value together with its certificate b.
+InverseResult = namedtuple("InverseResult", "a n value b")
 
 
 def _check_args(a: int, n: int) -> None:
@@ -35,18 +27,20 @@ def _check_args(a: int, n: int) -> None:
         raise DomainError(f"need n >= 3, got {n}")
 
 
-def inverse_closed(a: int, n: int) -> InverseResult:
-    """(a^-1 mod F_n) as (b*F_n + 1)/a, without ever inverting modulo F_n.
-
-    b = (-F_n^-1 mod a), from the residue F_n mod a that the gcd test
-    reads; b = 0 only for a = 1, where mod_inverse(0, 1) = 1.
-    """
-    _check_args(a, n)
+def _certificate(a: int, n: int) -> int:
+    """b = (-F_n^-1 mod a), from the residue F_n mod a that the gcd test
+    reads; b = 0 only for a = 1.  Raises NotCoprime when gcd(a, F_n) > 1."""
     f = fib_mod(n, a)
     g = math.gcd(a, f)
-    if g != 1:
+    if g > 1:
         raise NotCoprime(g, f"gcd({a}, F_{n}) = {g}; no inverse exists")
-    b = -mod_inverse(f, a) % a
+    return -pow(f, -1, a) % a
+
+
+def inverse_closed(a: int, n: int) -> InverseResult:
+    """(a^-1 mod F_n) as (b*F_n + 1)/a, without ever inverting modulo F_n."""
+    _check_args(a, n)
+    b = _certificate(a, n)
     numerator = b * fib(n) + 1
     if numerator % a:
         raise InternalInvariantViolation(

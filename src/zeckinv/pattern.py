@@ -80,10 +80,10 @@ from json.encoder import encode_basestring_ascii as _esc
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .bigfib import fib_mod, fib_residues
+from .bigfib import _fib_table, fib_mod, fib_residues
 from .basephi import EventuallyPeriodicBits
 from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
-from .inverse import inverse_oracle
+from .inverse import _certificate, inverse_oracle
 from .zeckendorf import ZeckendorfRep, decode, encode, normalize_index_one
 
 __all__ = [
@@ -104,10 +104,8 @@ __all__ = [
 ]
 
 
-class ZClass(namedtuple("ZClass", "b period")):
-    """Per-residue data: b_r and the digit period word of x_r = b_r/a."""
-
-    __slots__ = ()
+# Per-residue data: b_r and the digit period word of x_r = b_r/a.
+ZClass = namedtuple("ZClass", "b period")
 
 
 @lru_cache(maxsize=1024)
@@ -182,14 +180,6 @@ VerificationReport = namedtuple(
 
 # --------------------------------------------------------------------------
 # synthesis
-
-
-def _fib_table(top: int) -> list[int]:
-    """[F_0, F_1, ..., F_top], by addition."""
-    fibs = [0, 1]
-    for _ in range(top - 1):
-        fibs.append(fibs[-2] + fibs[-1])
-    return fibs
 
 
 def _greedy_word(value: int, i0: int, fibs: list[int]) -> str:
@@ -409,7 +399,7 @@ def _inverse_at(a: int, n: int) -> ZeckendorfRep:
     """The pattern's representation of (a^-1 mod F_n), from one orbit walk.
 
     Equal to ``evaluate(synthesize(a), n)`` for a >= 2 and n > i0, with
-    no Pisano walk and no spec: b = -F_n^-1 mod a comes from ``fib_mod``,
+    no Pisano walk and no spec: b = -F_n^-1 mod a comes from ``_certificate``,
     and the orbit of b/a is walked for n - i0 steps or until it closes
     after L = M steps.  The walked word serves as the period, so the tail
     is read at n' = i0 + ((n - i0 - 1) mod L) + 1, the n' <= n with
@@ -420,11 +410,7 @@ def _inverse_at(a: int, n: int) -> ZeckendorfRep:
     i0 = _i0(a)
     if a < 2 or n <= i0:
         raise DomainError(f"need a >= 2 and n >= n0 = {i0 + 1}, got a={a}, n={n}")
-    f = fib_mod(n, a)
-    g = math.gcd(a, f)
-    if g > 1:
-        raise NotCoprime(g)
-    b = -pow(f, -1, a) % a
+    b = _certificate(a, n)
     per, qs = _orbit(a, b, n - i0, _PhiFloors())
     if qs[-2:] == [0, b]:
         _check_period(a, b, per)
@@ -446,10 +432,12 @@ def _inverse_at(a: int, n: int) -> ZeckendorfRep:
 
 def _no_class_error(spec: PatternSpec, n: int) -> NotCoprime | DomainError:
     """NotCoprime if gcd(a, F_n) > 1; otherwise DomainError, since only a
-    hand-built spec can leave out the admissible residue of n."""
-    g = math.gcd(spec.a, fib_mod(n, spec.a))
-    if g > 1:
-        return NotCoprime(g)
+    hand-built spec can leave out the class or tail word of an admissible
+    residue."""
+    try:
+        _certificate(spec.a, n)
+    except NotCoprime as exc:
+        return exc
     return DomainError(f"the spec for a={spec.a} has no class for residue {n % spec.M}")
 
 
@@ -463,10 +451,10 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     if n <= i0:
         raise DomainError(f"need n >= {i0 + 1}, got {n}")
     r = n % spec.M
-    zc = spec.z.get(r)
-    if zc is None:
+    zc, word = spec.z.get(r), spec.tail.get(r)
+    if zc is None or word is None:
         raise _no_class_error(spec, n)
-    return _assemble(n, i0, zc.period, spec.tail[r])
+    return _assemble(n, i0, zc.period, word)
 
 
 def _assemble(n: int, i0: int, per: str, word: str) -> ZeckendorfRep:
@@ -648,8 +636,9 @@ def from_json_dict(data: dict) -> PatternSpec:
     """Load a spec, which must be exactly the canonical spec of its ``a``.
 
     The file holds only a, M, z and tail.  Cheap checks come first:
-    field types, canonical table keys, equal table sizes, and M == pi(a)
-    by one walk that the file's M bounds (see ``_check_residues``).  Then
+    field types, canonical table keys, equal table sizes, M == pi(a) by
+    one walk that the file's M bounds (see ``_check_residues``), and the
+    keys and lengths of the words (see ``_check_words``).  Then
     ``synthesize(a)`` runs and the data must equal its JSON form;
     otherwise the first differing field (an extra one included), and for
     ``z`` and ``tail`` the first differing key, is named.  So a file loads
@@ -673,6 +662,7 @@ def from_json_dict(data: dict) -> PatternSpec:
     if len(tail) != len(residues):
         raise DomainError("the tail table is not the size of the z table")
     _check_residues(a, m_per, residues)
+    _check_words(a, m_per, data["z"], data["tail"])
 
     spec = synthesize(a)
     want = to_json_dict(spec)
@@ -710,6 +700,33 @@ def _check_residues(a: int, m_per: int, residues: set[int]) -> None:
         steps += 1
     if steps != m_per or next(walk, None) is not None:
         raise DomainError(f"M={m_per} is not the Pisano period of a={a}")
+
+
+def _check_words(a: int, m_per: int, z: dict, tail: dict) -> None:
+    """Check that the tail keys are the z keys, that each ``period_bits``
+    is a string of M characters and each tail word one of i0 - 1.
+
+    Synthesis costs about M steps per digit cycle, so a file of short words
+    could ask for far more work than its size; with these lengths checked
+    the file is at least as large as that work.  The smallest offending key
+    is named, key mismatches first, then ``z``, then ``tail``.
+    """
+    odd = z.keys() ^ tail.keys()
+    if odd:
+        key = min(odd, key=int)
+        raise DomainError(
+            f"pattern for a={a} has tail keys other than its z keys,"
+            f" in field 'tail' at key {key!r}"
+        )
+    periods = {key: entry.get("period_bits") for key, entry in z.items()}
+    for name, words, size in (("z", periods, m_per), ("tail", tail, _i0(a) - 1)):
+        bad = [key for key, word in words.items() if type(word) is not str or len(word) != size]
+        if bad:
+            key = min(bad, key=int)
+            raise DomainError(
+                f"pattern for a={a} needs words of {size} digits,"
+                f" in field {name!r} at key {key!r}"
+            )
 
 
 def save_pattern(spec: PatternSpec, path: str) -> None:

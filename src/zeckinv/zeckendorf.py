@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from .bigfib import _fib_table
 from .errors import DomainError, InvalidRep
 
 __all__ = [
@@ -28,9 +29,7 @@ __all__ = [
 # addition per digit accumulates both sums without carries between them.
 _LEAF_BITS = 8
 _LEAF = 1 << _LEAF_BITS
-_FIBS = [0, 1]
-while len(_FIBS) < _LEAF + 2:
-    _FIBS.append(_FIBS[-2] + _FIBS[-1])
+_FIBS = _fib_table(_LEAF + 1)
 _FIELD = _FIBS[_LEAF + 1].bit_length()
 _LEAF_PAIRS = [_FIBS[j] | _FIBS[j + 1] << _FIELD for j in range(_LEAF)]
 

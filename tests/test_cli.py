@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import zeckinv.cli
-import zeckinv.inverse
+import zeckinv.bigfib
 import zeckinv.pattern
 from zeckinv import (
     decode,
@@ -59,10 +59,10 @@ def test_inverse_methods_agree(capsys):
 def test_inverse_closed_at_huge_a_skips_the_pisano_walk(capsys, monkeypatch):
     # A walk of pi(a) steps at this a takes far longer than a test may run;
     # with the walk patched to raise, a regression fails instead of hanging.
-    def no_pisano(m):
-        raise AssertionError(f"pisano({m}) called")
+    def no_pisano_walk(m):
+        raise AssertionError(f"fib_residues({m}) called")
 
-    monkeypatch.setattr(zeckinv.inverse, "pisano", no_pisano)
+    monkeypatch.setattr(zeckinv.bigfib, "fib_residues", no_pisano_walk)
     a = 1000000000039
     code, out = run(capsys, "inverse", str(a), "100", "--method", "closed", "--json")
     assert code == 0

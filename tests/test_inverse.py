@@ -4,14 +4,13 @@ import math
 
 import pytest
 
-import zeckinv.inverse
+import zeckinv.bigfib
 from zeckinv import (
     DomainError,
     NotCoprime,
     fib,
     inverse_closed,
     inverse_oracle,
-    pisano,
 )
 
 
@@ -33,7 +32,7 @@ def test_oracle_not_coprime():
 
 def test_closed_examples():
     res = inverse_closed(3, 5)
-    assert (res.value, res.b, res.r) == (2, 1, 5 % pisano(3))
+    assert (res.value, res.b) == (2, 1)
     assert res == (3, 5, 2, 1)  # a named tuple (a, n, value, b)
     assert inverse_closed(2, 8).value == 11
     assert inverse_closed(1, 77).value == 1
@@ -51,7 +50,6 @@ def test_closed_requires_admissible_n():
 
 def test_closed_matches_oracle_exhaustive():
     for a in range(1, 51):
-        pi = pisano(a)
         for n in range(3, 201):
             if math.gcd(a, fib(n)) != 1:
                 with pytest.raises(NotCoprime):
@@ -62,7 +60,6 @@ def test_closed_matches_oracle_exhaustive():
             assert got.value == want, (a, n)
             assert got.a == a and got.n == n
             assert 0 <= got.b < max(a, 1)
-            assert got.r == n % pi
             # The defining identity, checked directly.
             assert (got.b * fib(n) + 1) % a == 0
             assert got.value == (got.b * fib(n) + 1) // a
@@ -70,10 +67,10 @@ def test_closed_matches_oracle_exhaustive():
 
 def test_closed_form_needs_no_pisano_period(monkeypatch):
     # b follows from F_n mod a, so the closed form never walks pi(a).
-    def no_pisano(m):
-        raise AssertionError(f"pisano({m}) called")
+    def no_pisano_walk(m):
+        raise AssertionError(f"fib_residues({m}) called")
 
-    monkeypatch.setattr(zeckinv.inverse, "pisano", no_pisano)
+    monkeypatch.setattr(zeckinv.bigfib, "fib_residues", no_pisano_walk)
     for a in range(1, 51):
         for n in range(3, 201):
             if math.gcd(a, fib(n)) != 1:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zeckinv.pattern
+from zeckinv.bigfib import fib_residues
 from zeckinv import (
     DomainError,
     EventuallyPeriodicBits,
@@ -36,6 +37,7 @@ from zeckinv import (
     evaluate,
     fib,
     from_json_dict,
+    inverse_closed,
     inverse_oracle,
     load_pattern,
     normalize_index_one,
@@ -130,6 +132,34 @@ def test_evaluate_errors(spec2):
     with pytest.raises(NotCoprime) as exc:
         evaluate(spec2, 12)  # 3 | 12 so 2 | F_12
     assert exc.value.gcd == 2
+
+
+def test_every_inverse_route_refuses_a_non_coprime_n_alike(spec2):
+    # One routine computes b = -F_n^-1 mod a, so the closed form, the
+    # single-n pattern path and evaluate refuse a = 2, n = 12 (F_12 = 144)
+    # with the same witness and the same text.
+    errors = []
+    for route in (inverse_closed, _inverse_at, lambda a, n: evaluate(spec2, n)):
+        with pytest.raises(NotCoprime) as exc:
+            route(2, 12)
+        errors.append((exc.value.gcd, str(exc.value)))
+    assert errors == [(2, "gcd(2, F_12) = 2; no inverse exists")] * 3
+
+
+def test_missing_tail_word_is_a_domain_error_and_a_mismatch(spec3):
+    # A hand-built spec with every z class but no tail word: evaluate
+    # refuses each admissible n as it refuses a missing class, and verify
+    # counts each with got = ().
+    bad = dataclasses.replace(spec3, tail={})
+    assert 9 % spec3.M in bad.z
+    with pytest.raises(DomainError, match="no class for residue 1"):
+        evaluate(bad, 9)
+    report = verify(bad, 8, 40)
+    assert report.checked == verify(spec3, 8, 40).checked > 0
+    assert report.mismatches == report.checked
+    assert report.first_mismatch == MismatchDetail(
+        n=9, expected=encode(inverse_oracle(3, 9)).indices, got=()
+    )
 
 
 def test_evaluate_matches_oracle_many(spec3, spec7):
@@ -1079,6 +1109,32 @@ def test_from_json_refuses_tail_table_sized_unlike_z_before_synthesis(spec2, mon
     data["tail"] = {str(c): data["tail"][str(c % 3)] for c in (1, 2, 4, 5)}
     with pytest.raises(DomainError, match="tail table"):
         from_json_dict(data)
+
+
+def test_from_json_refuses_short_words_before_synthesis(spec7, monkeypatch):
+    # Keys, b values, table sizes and M of a = 2503 (M = 5008) are all
+    # right, but every period and tail word is "0": synthesis of such a
+    # file would cost far more than its size, so the word lengths are
+    # checked first.  The same check refuses a short or non-string tail word.
+    def no_synthesis(a):
+        raise AssertionError("synthesize ran")
+
+    monkeypatch.setattr(zeckinv.pattern, "synthesize", no_synthesis)
+    a = 2503
+    fs = list(fib_residues(a))
+    z = {
+        str(r): {"b": -pow(f, -1, a) % a, "period_bits": "0"}
+        for r, f in enumerate(fs)
+        if math.gcd(a, f) == 1
+    }
+    data = {"a": a, "M": len(fs), "z": z, "tail": dict.fromkeys(z, "0")}
+    with pytest.raises(DomainError, match="5008 digits, in field 'z' at key '1'"):
+        from_json_dict(data)
+    for word in ("0", None, 0):
+        data = to_json_dict(spec7)
+        data["tail"]["3"] = word
+        with pytest.raises(DomainError, match="in field 'tail' at key '3'"):
+            from_json_dict(data)
 
 
 # --- from_json_dict fuzzing -------------------------------------------------------
