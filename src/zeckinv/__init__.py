@@ -6,55 +6,23 @@ Pisano period, per-residue digit periods, and a periodic tail table — from
 which evaluate() reads off the Zeckendorf representation of the modular
 inverse for any admissible n by index arithmetic alone, and verify()
 checks the whole construction against an independent brute-force oracle.
+
+Each public name is listed once, in its module's ``__all__``; this module
+republishes those lists.
 """
 
-from .basephi import (
-    EventuallyPeriodicBits,
-    digit_at,
-    eval_closed_form,
-    expand,
-    splice_check,
-    zeckendorf_from_phi,
-)
-from .bigfib import fib, fib_mod, fib_pair, mod_inverse, pisano
-from .errors import (
-    DomainError,
-    InternalInvariantViolation,
-    InvalidRep,
-    NotCoprime,
-    PreconditionError,
-    SynthesisError,
-    ZeckinvError,
-)
-from .inverse import InverseResult, inverse_closed, inverse_oracle
-from .pattern import (
-    MismatchDetail,
-    PatternSpec,
-    VerificationReport,
-    ZClass,
-    evaluate,
-    from_json_dict,
-    load_pattern,
-    matches_oracle,
-    report_to_json_dict,
-    save_pattern,
-    splice_value,
-    synthesize,
-    to_json_dict,
-    verify,
-)
-from .zeckendorf import (
-    ZeckendorfRep,
-    decode,
-    encode,
-    from_bit_string,
-    normalize_index_one,
-    to_bit_string,
-)
+from . import basephi, bigfib, errors, inverse, pattern, zeckendorf
+from .basephi import *
+from .bigfib import *
+from .errors import *
+from .inverse import *
+from .pattern import *
+from .zeckendorf import *
 
 __version__ = "0.1.0"
 
-_QPHI_NAMES = frozenset({"PHI", "QPhi", "parse_qphi", "phi_pow", "sqrt5"})
+# The public names of ``qphi``, which is imported on first use.
+_QPHI_NAMES = ("QPhi", "PHI", "phi_pow", "sqrt5", "parse_qphi")
 
 
 def __getattr__(name: str):
@@ -67,7 +35,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _QPHI_NAMES)
+    return sorted(globals().keys() | set(_QPHI_NAMES))
 
 
 # Always False: all code is pure Python; perfbench kernel_info() still records it.
@@ -76,57 +44,11 @@ USING_COMPILED_KERNEL = False
 __all__ = [
     "__version__",
     "USING_COMPILED_KERNEL",
-    # errors
-    "ZeckinvError",
-    "DomainError",
-    "NotCoprime",
-    "InvalidRep",
-    "PreconditionError",
-    "SynthesisError",
-    "InternalInvariantViolation",
-    # bigfib
-    "fib",
-    "fib_pair",
-    "fib_mod",
-    "pisano",
-    "mod_inverse",
-    # zeckendorf
-    "ZeckendorfRep",
-    "encode",
-    "decode",
-    "normalize_index_one",
-    "to_bit_string",
-    "from_bit_string",
-    # qphi
-    "QPhi",
-    "PHI",
-    "phi_pow",
-    "sqrt5",
-    "parse_qphi",
-    # basephi
-    "EventuallyPeriodicBits",
-    "expand",
-    "eval_closed_form",
-    "digit_at",
-    "zeckendorf_from_phi",
-    "splice_check",
-    # inverse
-    "InverseResult",
-    "inverse_closed",
-    "inverse_oracle",
-    # pattern
-    "ZClass",
-    "PatternSpec",
-    "VerificationReport",
-    "MismatchDetail",
-    "synthesize",
-    "evaluate",
-    "matches_oracle",
-    "verify",
-    "splice_value",
-    "save_pattern",
-    "load_pattern",
-    "to_json_dict",
-    "from_json_dict",
-    "report_to_json_dict",
+    *errors.__all__,
+    *bigfib.__all__,
+    *zeckendorf.__all__,
+    *_QPHI_NAMES,
+    *basephi.__all__,
+    *inverse.__all__,
+    *pattern.__all__,
 ]

@@ -175,10 +175,10 @@ def zeckendorf_from_phi(n: int) -> ZeckendorfRep:
     """Zeckendorf representation obtained through the digit expansion.
 
     Chooses the smallest m >= 2 with x = sqrt5 * n * phi^-m in [0, 1);
-    the first m digits of x then spell the representation from the top:
-    index i carries digit d_{m-i}.  The m-th digit is always 0 and the
-    stream never contains "11"; both facts are asserted, and a failure
-    means an arithmetic bug rather than a bad input.
+    the first m digits of ``expand(x)`` then spell the representation from
+    the top: index i carries digit d_{m-i}.  The m-th digit is always 0,
+    which is asserted, and ``expand`` refuses a stream with "11"; a
+    failure means an arithmetic bug rather than a bad input.
     """
     from .qphi import phi_pow, sign_of, sqrt5
     if n < 1:
@@ -188,20 +188,12 @@ def zeckendorf_from_phi(n: int) -> ZeckendorfRep:
     m, f_m1, f_m = 2, 1, 1
     while sign_of(f_m1 + n, f_m - 2 * n) <= 0:
         m, f_m1, f_m = m + 1, f_m, f_m1 + f_m
-    x = sqrt5() * n * phi_pow(-m)  # integer coordinates, denominator 1
-    p, q = int(x.u), int(x.v)
-    digits = []
-    for _ in range(m):
-        d = 1 if sign_of(q - 1, p + q) >= 0 else 0
-        digits.append(d)
-        p, q = q - d, p + q
-    if digits[m - 1] != 0:
+    bits = expand(sqrt5() * n * phi_pow(-m))
+    if digit_at(bits, m) != 0:
         raise InternalInvariantViolation(
             f"digit m={m} of sqrt5*{n}*phi^-{m} is not 0"
         )
-    if any(digits[k] and digits[k + 1] for k in range(m - 1)):
-        raise InternalInvariantViolation(f"consecutive 1s in digit prefix for {n}")
-    indices = [i for i in range(1, m) if digits[m - i - 1]]
+    indices = [i for i in range(1, m) if digit_at(bits, m - i)]
     try:
         return normalize_index_one(indices)
     except InvalidRep as exc:

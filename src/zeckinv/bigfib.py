@@ -16,7 +16,6 @@ __all__ = [
     "fib",
     "fib_pair",
     "fib_mod",
-    "fib_residues",
     "pisano",
     "mod_inverse",
 ]
@@ -69,17 +68,18 @@ def fib_mod(n: int, m: int) -> int:
 
 
 def fib_residues(m: int) -> Iterator[int]:
-    """Yield F_r mod m for r = 0, 1, ..., pi(m) - 1, for m >= 2.
+    """Yield F_r mod m for r = 0, 1, ..., pi(m) - 1, for m >= 1.
 
     One walk of the pair (F_r, F_(r+1)) mod m, which stops when the pair is
-    back at (0, 1); it gets there because the step is invertible and there
-    are at most m^2 pairs.  A consumer that stops early stops the walk.
+    back at (0, 1 mod m); it gets there because the step is invertible and
+    there are at most m^2 pairs.  A consumer that stops early stops the walk.
     """
-    f, g = 0, 1
+    one = 1 % m
+    f, g = 0, one
     while True:
         yield f
         f, g = g, (f + g) % m
-        if f == 0 and g == 1:
+        if f == 0 and g == one:
             return
 
 
@@ -87,8 +87,6 @@ def pisano(m: int) -> int:
     """Return the Pisano period of modulus m: the length of ``fib_residues(m)``."""
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
-    if m == 1:
-        return 1
     return sum(1 for _ in fib_residues(m))
 
 

@@ -1,7 +1,9 @@
 """Command-line surface: every operation, exact, scriptable.
 
-Exit codes: 0 success; 2 domain error (bad argument ranges, malformed
-input); 3 not-coprime (no inverse exists); 4 verification mismatch.
+Exit codes: 0 success; 1 internal error, or stdout closed before the
+output was written (as by ``| head``), with nothing on stderr; 2 domain
+error (bad argument ranges, malformed input); 3 not-coprime (no inverse
+exists); 4 verification mismatch.
 JSON output is deterministic — byte-identical for identical invocations —
 except that verify reports carry wall time under a dedicated "timing" key.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -320,7 +323,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull, so that
+        # the interpreter's own flush at exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NotCoprime as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,5 +1,15 @@
 """Exception hierarchy shared by all zeckinv modules."""
 
+__all__ = [
+    "ZeckinvError",
+    "DomainError",
+    "NotCoprime",
+    "InvalidRep",
+    "PreconditionError",
+    "SynthesisError",
+    "InternalInvariantViolation",
+]
+
 
 class ZeckinvError(Exception):
     """Base class for every error raised by this package."""

@@ -52,12 +52,11 @@ def inverse_closed(a: int, n: int) -> InverseResult:
 def inverse_oracle(a: int, n: int) -> int:
     """Independent check path: materialize F_n and invert by extended Euclid.
 
-    Returns the unique value in [1, F_n] with a*value == 1 (mod F_n).
+    Returns the unique value in [1, F_n - 1] with a*value == 1 (mod F_n).
     """
     _check_args(a, n)
     modulus = fib(n)
     g = math.gcd(a, modulus)
     if g != 1:
         raise NotCoprime(g, f"gcd({a}, F_{n}) = {g}; no inverse exists")
-    inv = pow(a, -1, modulus)
-    return inv if inv != 0 else modulus
+    return pow(a, -1, modulus)

@@ -80,7 +80,7 @@ from json.encoder import encode_basestring_ascii as _esc
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .bigfib import _fib_table, fib_mod, fib_residues
+from .bigfib import _fib_table, fib_residues
 from .basephi import EventuallyPeriodicBits
 from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
 from .inverse import _certificate, inverse_oracle
@@ -516,12 +516,14 @@ def matches_oracle(rep: ZeckendorfRep, a: int, n: int) -> bool:
 def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
     """Check evaluate against the brute-force oracle on [n_lo, n_hi].
 
-    A non-canonical representation counts as a mismatch, and so does an
-    ``n`` whose tail word uses position 1 in a way that cannot be
-    canonicalized or whose admissible residue has no class (only a
-    hand-built spec can carry either); such a mismatch reports
-    ``got = ()``.  The oracle value is encoded only to report the first
-    mismatch.
+    An n with gcd(a, F_n) > 1 is skipped: ``evaluate`` raises NotCoprime
+    for it, or, for a class that a hand-built spec gives an inadmissible
+    residue, the oracle does.  Every other n is checked.  A non-canonical
+    representation counts as a mismatch, and so does an ``n`` whose tail
+    word uses position 1 in a way that cannot be canonicalized or whose
+    admissible residue has no class (only a hand-built spec can carry
+    either); such a mismatch reports ``got = ()``.  The oracle value is
+    encoded only to report the first mismatch.
     """
     if not spec.n0 <= n_lo <= n_hi:
         raise DomainError(
@@ -532,14 +534,22 @@ def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
     mismatches = 0
     first: MismatchDetail | None = None
     for n in range(n_lo, n_hi + 1):
-        if math.gcd(spec.a, fib_mod(n, spec.a)) != 1:
-            continue
-        checked += 1
         try:
-            rep = evaluate(spec, n)
-        except (DomainError, InvalidRep):
-            rep = None
-        if rep is None or not matches_oracle(rep, spec.a, n):
+            try:
+                rep = evaluate(spec, n)
+                ok = matches_oracle(rep, spec.a, n)
+            except InvalidRep:
+                # The tail word cannot be canonicalized; the oracle alone
+                # can tell whether n is admissible.
+                inverse_oracle(spec.a, n)
+                rep, ok = None, False
+        except NotCoprime:
+            continue
+        except DomainError:
+            # evaluate found n admissible but the spec has no class for it.
+            rep, ok = None, False
+        checked += 1
+        if not ok:
             mismatches += 1
             if first is None:
                 want = encode(inverse_oracle(spec.a, n))

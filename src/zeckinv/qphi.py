@@ -8,6 +8,7 @@ state spaces stay finite.  All comparisons are exact; no floating point.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import total_ordering
@@ -172,16 +173,20 @@ class QPhi:
     # -- floor -----------------------------------------------------------
 
     def floor(self) -> int:
-        """Exact floor, by sign bisection inside |x| <= |u| + 2|v|."""
-        bound = int(abs(self.u) + 2 * abs(self.v)) + 1
-        lo, hi = -bound, bound  # invariant: lo <= x < hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (self - mid).sign() >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """Exact floor, in closed form.
+
+        With d the lcm of the denominators, w = v*d and N = 2u*d + w, the
+        element is (N + w*sqrt5)/(2d).  For w != 0, sqrt(5 w^2) is
+        irrational and lies in (s, s + 1) with s = isqrt(5 w^2), so the
+        floor is (N + s) // 2d for w >= 0 and (N - s - 1) // 2d for w < 0;
+        for w = 0 both read N // 2d.  ``_PhiFloors`` in ``pattern`` uses
+        the same identity on integer coordinates.
+        """
+        d = math.lcm(self.u.denominator, self.v.denominator)
+        w = int(self.v * d)
+        n = int(2 * self.u * d) + w
+        s = math.isqrt(5 * w * w)
+        return (n + s) // (2 * d) if w >= 0 else (n - s - 1) // (2 * d)
 
     __floor__ = floor
 

@@ -3,7 +3,10 @@
 import contextlib
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ import zeckinv.bigfib
 import zeckinv.pattern
 from zeckinv import (
     decode,
+    encode,
     from_bit_string,
     from_json_dict,
     inverse_oracle,
@@ -271,7 +275,69 @@ def test_paper_check(capsys):
     assert "OK" in out and "195" in out
 
 
+def test_pisano_json(capsys):
+    code, out = run(capsys, "pisano", "10", "--json")
+    assert (code, json.loads(out)) == (0, {"m": 10, "pi": 60})
+
+
+def test_basephi_literal_and_json(capsys):
+    code, out = run(capsys, "basephi", "phi - 1")
+    assert (code, out) == (0, "pre=1| period=0\n")
+    code, out = run(capsys, "basephi", "1/2", "--json")
+    assert code == 0
+    assert json.loads(out) == {"u": "1/2", "v": "0", "pre": "", "period": "010"}
+
+
+def test_paper_check_failure(capsys, monkeypatch):
+    # A wrong representation for every n: both forms report every
+    # admissible n in [8, 300] and exit 4.
+    real = zeckinv.cli.evaluate
+    monkeypatch.setattr(
+        zeckinv.cli, "evaluate", lambda spec, n: encode(decode(real(spec, n)) + 1)
+    )
+    code, out = run(capsys, "paper-check")
+    assert code == 4
+    assert out.startswith("FAIL: 195 of 195 values mismatched: [8, 10, 11, 13, ")
+    code, out = run(capsys, "paper-check", "--json")
+    assert code == 4
+    failures = json.loads(out)["failures"]
+    assert failures == [n for n in range(8, 301) if n % 3]
+
+
 # --- exit codes ------------------------------------------------------------------
+
+
+def test_exit_code_malformed_range_and_missing_argument(capsys):
+    for n_range in ("8-9", "8..x"):
+        code = main(["verify", "2", "--n-range", n_range])
+        assert code == 2
+        assert "range must look like LO..HI" in capsys.readouterr().err
+    code = main(["zeckendorf"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "need an integer" in captured.err
+
+
+def test_closed_stdout_exits_1_with_empty_stderr():
+    # 142 KB of JSON: the pipe fills, the reader takes 10 bytes and
+    # closes it, and the next write fails with EPIPE.
+    src = str(Path(zeckinv.cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zeckinv.cli", "inverse", "2", "30001", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.read(10) == b'{\n  "a": 2'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+    finally:
+        proc.kill()
+    assert err == b""
 
 
 def test_exit_code_domain_errors(capsys):

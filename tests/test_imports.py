@@ -60,3 +60,58 @@ def test_every_public_name_is_listed_and_served():
     assert zeckinv.sqrt5 is zeckinv.qphi.sqrt5
     with pytest.raises(AttributeError, match="no_such_name"):
         zeckinv.no_such_name
+
+
+def test_public_names_are_pinned():
+    # The package republishes each module's ``__all__``, so a name added to
+    # one of those lists would silently grow the package's API.
+    assert sorted(zeckinv.__all__) == [
+        "DomainError",
+        "EventuallyPeriodicBits",
+        "InternalInvariantViolation",
+        "InvalidRep",
+        "InverseResult",
+        "MismatchDetail",
+        "NotCoprime",
+        "PHI",
+        "PatternSpec",
+        "PreconditionError",
+        "QPhi",
+        "SynthesisError",
+        "USING_COMPILED_KERNEL",
+        "VerificationReport",
+        "ZClass",
+        "ZeckendorfRep",
+        "ZeckinvError",
+        "__version__",
+        "decode",
+        "digit_at",
+        "encode",
+        "eval_closed_form",
+        "evaluate",
+        "expand",
+        "fib",
+        "fib_mod",
+        "fib_pair",
+        "from_bit_string",
+        "from_json_dict",
+        "inverse_closed",
+        "inverse_oracle",
+        "load_pattern",
+        "matches_oracle",
+        "mod_inverse",
+        "normalize_index_one",
+        "parse_qphi",
+        "phi_pow",
+        "pisano",
+        "report_to_json_dict",
+        "save_pattern",
+        "splice_check",
+        "splice_value",
+        "sqrt5",
+        "synthesize",
+        "to_bit_string",
+        "to_json_dict",
+        "verify",
+        "zeckendorf_from_phi",
+    ]

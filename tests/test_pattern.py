@@ -42,6 +42,7 @@ from zeckinv import (
     load_pattern,
     normalize_index_one,
     pisano,
+    report_to_json_dict,
     save_pattern,
     splice_value,
     synthesize,
@@ -931,6 +932,36 @@ def test_verify_counts_unnormalizable_tail_as_mismatch(spec2):
     assert report.first_mismatch.n == 8
     assert report.first_mismatch.expected == (6, 4)
     assert report.first_mismatch.got == ()
+
+
+@pytest.mark.parametrize("word", ["10100", "00011"])
+def test_verify_skips_a_hand_built_class_at_an_inadmissible_residue(spec2, word):
+    # Residue 0 is inadmissible for a = 2 (F_3 = 2).  With a class there,
+    # evaluate returns a representation ("10100") or raises InvalidRep
+    # ("00011"); either way the oracle refuses n, and verify skips it.
+    bad = dataclasses.replace(
+        spec2,
+        z={**spec2.z, 0: spec2.z[1]},
+        tail={**spec2.tail, 0: word},
+    )
+    report = verify(bad, 8, 40)
+    assert (report.checked, report.mismatches) == (verify(spec2, 8, 40).checked, 0)
+    assert report.first_mismatch is None
+
+
+def test_report_to_json_dict_writes_the_first_mismatch(spec2):
+    bad = dataclasses.replace(spec2, tail={1: "00100", 2: spec2.tail[2]})
+    data = report_to_json_dict(verify(bad, 8, 40))
+    assert set(data) == {
+        "a", "n_lo", "n_hi", "checked", "mismatches", "first_mismatch", "timing"
+    }
+    first = data["first_mismatch"]
+    assert set(first) == {"n", "expected", "got"}
+    assert first["n"] == 10
+    assert isinstance(first["expected"], list) and isinstance(first["got"], list)
+    assert first["expected"] == list(encode(inverse_oracle(2, 10)).indices)
+    assert first["got"] == list(evaluate(bad, 10).indices)
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_missing_admissible_residue_is_a_domain_error_and_a_mismatch():
