@@ -44,6 +44,8 @@ from .zeckendorf import decode, encode, from_bit_string, to_bit_string
 
 __all__ = ["main"]
 
+_WRITE_PIECE = 1 << 16  # characters per write of a long output
+
 
 def _print_json(obj: object) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
@@ -86,7 +88,12 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     if args.out:
         save_pattern(spec, args.out)
     if args.json:
-        sys.stdout.write(_pattern_text(spec))
+        # In pieces: with an unbuffered stdout (python -u), a write that
+        # the closed pipe cuts short returns its count and raises nothing,
+        # so only a further write raises BrokenPipeError.
+        text = _pattern_text(spec)
+        for at in range(0, len(text), _WRITE_PIECE):
+            sys.stdout.write(text[at : at + _WRITE_PIECE])
     else:
         print(
             f"a={spec.a} M={spec.M} ell={spec.ell} i0={spec.i0} "

@@ -276,6 +276,13 @@ def _orbit(a: int, b: int, steps: int, fl: _PhiFloors) -> tuple[str, list[int]]:
     M | k.  ``synthesize`` checks that the walk closes after M steps, and
     every cycle of every a in [2, 1000] does (``scripts/period_sweep.py``).
     As M <= 6a, a walk that has not closed after 6a steps never does.
+
+    A closed word z_1 ... z_M, read over positions M+1 down to 2, is the
+    Zeckendorf code of N_b = b (F_(M+2) - 1) / a.  The digit map gives
+    phi^M x = sum_j z_j phi^(M-j) + x for x = b/a; multiplying by phi^2
+    and applying y -> Tr(y / sqrt5), which is Q-linear and sends phi^k to
+    F_k, gives x (F_(M+2) - F_2) = sum_j z_j F_(M+2-j).  The word has no
+    "11" and uses no position below 2, so by uniqueness it is encode(N_b).
     """
     digits = bytearray(b"0") * min(steps, 6 * a)
     qs = [0, b]
@@ -464,13 +471,16 @@ def _assemble(n: int, i0: int, per: str, word: str) -> ZeckendorfRep:
     of its digits) and ``word`` the tail word over positions i0-1 down
     to 1.  Position i in [i0, n-1] carries z_(n-i), so a 1-digit at offset
     o of ``per`` (length L_r) puts the arithmetic progression n-1-o,
-    n-1-o-L_r, ... into the output.  The full period blocks are one
-    ``range`` per 1-offset, interleaved block by block by ``zip`` into one
-    list, so the per-index work runs in C; the partial top block and the
-    tail word follow.  The 1-positions of the period, of the partial block
+    n-1-o-L_r, ... into the output.  The full period blocks are the grid
+    of block tops by 1-offsets, emitted block by block.  With no more
+    blocks than 1-offsets a comprehension walks the grid, one step per
+    index; with more, one ``range`` per 1-offset is interleaved by ``zip``
+    in C, so no more objects are built than there are blocks.  The
+    partial top block and the tail word follow.  The 1-offsets of the
+    period (needed only when there is a full block), of the partial block
     and of the tail word each come from ``compress`` over the word's
-    digits, so the cost is C-level passes of O(L_r + i0) plus O(number of
-    indices).
+    digits, so the cost is O(number of indices) plus C-level passes of
+    O(L_r + i0).
     """
     lr = len(per)
     bits = _bits(per)
@@ -478,15 +488,21 @@ def _assemble(n: int, i0: int, per: str, word: str) -> ZeckendorfRep:
     # Writing j = n - i, digit j is per[(j-1) mod lr]; indices are emitted
     # in decreasing order.  Full block k covers positions n-1-k*lr down to
     # n-(k+1)*lr, and the partial block below them starts at ``base``.
-    # The ranges go to zip as a list: unpacking a generator grows a tuple
-    # that CPython, once freed, parks in its tuple free lists, one per call.
     nblocks, rem = divmod(n - i0, lr)
     base = n - 1 - nblocks * lr
-    indices = list(
-        chain.from_iterable(
-            zip(*[range(n - 1 - o, base - o, -lr) for o in compress(range(lr), bits)])
+    # The 1-offsets of the period; with no full block none is needed.
+    ones = list(compress(range(lr), bits)) if nblocks else []
+    if nblocks <= len(ones):
+        indices = [t - o for t in range(n - 1, base, -lr) for o in ones]
+    else:
+        # The ranges go to zip as a list: unpacking a generator grows a
+        # tuple that CPython, once freed, parks in its tuple free lists,
+        # one per call.
+        indices = list(
+            chain.from_iterable(
+                zip(*[range(n - 1 - o, base - o, -lr) for o in ones])
+            )
         )
-    )
     indices.extend(compress(range(base, base - rem, -1), bits[:rem]))
     # Tail word: character j corresponds to position i0 - 1 - j.
     indices.extend(compress(range(i0 - 1, 0, -1), _bits(word)))

@@ -126,8 +126,10 @@ def decode(rep: ZeckendorfRep) -> int:
         (A, B) = (sum_j d_(s+j) F_j,  sum_j d_(s+j) F_(j+1)),   0 <= j < w,
 
     relative to its base.  Leaves are blocks of _LEAF positions, summed from
-    a small table of packed pairs.  A block of width k (a power of two)
-    joins the block above it by the shift identity
+    a small table of packed pairs.  The indices decrease, so each leaf's
+    indices come in one run: its sum is kept in a local and stored once,
+    when an index drops below the leaf's base.  A block of width k (a
+    power of two) joins the block above it by the shift identity
     F_(k+j) = F_k F_(j+1) + F_(k-1) F_j.  With x = F_k, y = F_(k-1) and
     x + y = F_(k+1), the join takes three products, y A_hi being shared:
 
@@ -139,21 +141,29 @@ def decode(rep: ZeckendorfRep) -> int:
     that A, two products.  The Fibonacci numbers of the split widths are
     doubled once per level, so for top index n the cost is O(M(n) log n),
     M(n) the cost of multiplying n-bit integers, plus one table addition
-    per index; adding F_i position by position would cost Theta(n^2).
+    per index and one store per leaf reached; adding F_i position by
+    position would cost Theta(n^2).
     """
     indices = rep.indices
     canonical = False
     if indices:
-        table, shift, mask = _LEAF_PAIRS, _LEAF_BITS, _LEAF - 1
-        sums = [0] * ((indices[0] >> shift) + 1)
+        table, shift = _LEAF_PAIRS, _LEAF_BITS
+        k = indices[0] >> shift
+        sums = [0] * (k + 1)
+        lo, acc = k << shift, 0  # the current leaf's base and running sum
         prev = indices[0] + 2
         try:
             for i in indices:
                 if prev - i < 2:
                     break
-                sums[i >> shift] += table[i & mask]
+                if i < lo:
+                    sums[k] = acc
+                    k = i >> shift
+                    lo, acc = k << shift, 0
+                acc += table[i - lo]
                 prev = i
             else:
+                sums[k] = acc
                 canonical = prev >= 2
         except IndexError:
             # A negative index can pass the gap test and fall outside sums;

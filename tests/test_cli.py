@@ -318,26 +318,44 @@ def test_exit_code_malformed_range_and_missing_argument(capsys):
     assert "need an integer" in captured.err
 
 
-def test_closed_stdout_exits_1_with_empty_stderr():
-    # 142 KB of JSON: the pipe fills, the reader takes 10 bytes and
-    # closes it, and the next write fails with EPIPE.
+def _close_stdout_after(argv, head, **env_vars):
+    """Run the CLI with ``argv`` and the extra environment ``env_vars``,
+    read 10 bytes of its stdout, which must be ``head``, close the pipe,
+    and return the exit code and stderr."""
     src = str(Path(zeckinv.cli.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.update(env_vars)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "zeckinv.cli", "inverse", "2", "30001", "--json"],
+        [sys.executable, "-m", "zeckinv.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
     try:
-        assert proc.stdout.read(10) == b'{\n  "a": 2'
+        assert proc.stdout.read(10) == head
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
-        assert proc.returncode == 1
     finally:
         proc.kill()
-    assert err == b""
+    return proc.returncode, err
+
+
+def test_closed_stdout_exits_1_with_empty_stderr():
+    # 142 KB of JSON: the pipe fills, the reader takes 10 bytes and
+    # closes it, and the next write fails with EPIPE.
+    argv = ["inverse", "2", "30001", "--json"]
+    assert _close_stdout_after(argv, b'{\n  "a": 2') == (1, b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_during_pattern_json_exits_1_with_empty_stderr(unbuffered):
+    # 1.27 MB of pattern JSON.  With an unbuffered stdout, one write of it
+    # all was cut short by the closed pipe, returned its count without
+    # raising, and the exit code read 0.
+    argv = ["pattern", "1000", "--json"]
+    got = _close_stdout_after(argv, b'{\n  "M": 1', PYTHONUNBUFFERED=unbuffered)
+    assert got == (1, b"")
 
 
 def test_exit_code_domain_errors(capsys):

@@ -40,12 +40,14 @@ from zeckinv import (
     inverse_closed,
     inverse_oracle,
     load_pattern,
+    matches_oracle,
     normalize_index_one,
     pisano,
     report_to_json_dict,
     save_pattern,
     splice_value,
     synthesize,
+    to_bit_string,
     to_json_dict,
     verify,
 )
@@ -249,6 +251,31 @@ def test_evaluate_block_edges():
     assert seen == {"partial", "0", "1", "L-1"}
 
 
+@pytest.mark.parametrize("a", [2, 40, 112, 147, 1000])
+def test_evaluate_on_both_sides_of_the_block_grid_switch(a):
+    # _assemble builds the full blocks as a grid of block tops by the
+    # period's 1-offsets when there are no more blocks than 1-offsets, and
+    # by interleaved ranges otherwise.  Per residue: no full block, and one
+    # block fewer than, as many as and one more than the period's 1-digits.
+    # Past n = 3*10^4 (a = 1000, about 420 1-digits in M = 1500) encode
+    # would take seconds, so the oracle check is matches_oracle: canonical,
+    # and decoding to the oracle's value.
+    spec = _spec(a)
+    residues = sorted(spec.z)
+    for r in residues if a < 1000 else residues[:: len(residues) // 2]:
+        ones = spec.z[r].period.count("1")
+        rem = (r - spec.i0) % spec.M
+        for nblocks in {0, ones - 1, ones, ones + 1}:
+            n = spec.i0 + nblocks * spec.M + rem
+            if n <= spec.i0:
+                continue  # no n of this class has n - i0 < M
+            rep = evaluate(spec, n)
+            if n <= 3 * 10**4:
+                assert rep == encode(inverse_oracle(a, n)), (a, n)
+            else:
+                assert matches_oracle(rep, a, n), (a, n)
+
+
 @pytest.mark.parametrize("n", [10**6, 10**6 + 1])
 def test_evaluate_a2_closed_form_at_a_million(spec2, n):
     # One n per admissible class of a = 2, about 3.3*10^5 indices each.
@@ -348,6 +375,22 @@ def test_z_periods_match_digit_expansions():
             assert bits.preperiod == ""
             assert bits.period == zc.period
             assert (zc.b * fib(r) + 1) % a == 0
+
+
+def test_period_words_are_zeckendorf_codes():
+    # Each digit period, read as a word over positions M+1 down to 2, is
+    # the Zeckendorf code of N_b = b (F_(M+2) - 1) / a (see _orbit); the
+    # expected words come from encode alone.
+    words = 0
+    for a in range(2, 201):
+        spec = synthesize(a)
+        scale = fib(spec.M + 2) - 1
+        for zc in {zc.b: zc for zc in spec.z.values()}.values():
+            n_b, rest = divmod(zc.b * scale, a)
+            assert rest == 0, (a, zc.b)
+            assert zc.period == to_bit_string(encode(n_b)).rjust(spec.M, "0"), (a, zc.b)
+            words += 1
+    assert words == 6663
 
 
 class _Floors(_PhiFloors):

@@ -60,7 +60,21 @@ def test_invalid_reps():
 
 @pytest.mark.parametrize(
     "indices",
-    [(3, 2), (5, 5), (3, 5), (4, 1), (9, -3), (), (9, -1000, 5), (-300,), (1,)],
+    [
+        (3, 2),
+        (5, 5),
+        (3, 5),
+        (4, 1),
+        (9, -3),
+        (),
+        (9, -1000, 5),
+        (-300,),
+        (1,),
+        # Leaves far below -len(sums): the running sum is stored out of range.
+        (1000, -5000),
+        (2, -(10**6)),
+        (3000, 600, -(10**9), -(10**9) - 2),
+    ],
 )
 def test_decode_checks_canonicity_like_the_constructor(indices):
     # decode checks while it sums; a failure must read as the constructor's.
@@ -86,6 +100,25 @@ def test_decode_at_leaf_edges(top):
     sparse = [top, *sorted((p for p in edges if 2 <= p <= top - 2), reverse=True)]
     for indices in (dense, sparse, [top]):
         assert decode(ZeckendorfRep(indices)) == sum(FIBS[i] for i in indices)
+
+
+# decode stores a leaf's running sum when an index drops below the leaf's
+# base: indices on multiples of 256 open a leaf at its base, and gaps of
+# more than 256 leave whole leaves empty between two stores.
+SPARSE_SETS = [
+    [256 * m for m in range(9, 0, -1)],
+    [256 * m + d for m in range(9, 0, -1) for d in (1, 0)][::2],
+    [2**13 + 1, 2**12, 2**9, 256, 2],
+    [7000, 6999 - 257, 4000, 3743, 3486, 255, 3],
+    [2**13, 2],
+    list(range(2**13, 1, -513)),
+    list(range(2**13 + 1, 1, -257)),
+]
+
+
+@pytest.mark.parametrize("indices", SPARSE_SETS)
+def test_decode_across_empty_leaves(indices):
+    assert decode(ZeckendorfRep(indices)) == sum(FIBS[i] for i in indices)
 
 
 def test_round_trip():
