@@ -46,6 +46,12 @@ __all__ = ["main"]
 
 _WRITE_PIECE = 1 << 16  # characters per write of a long output
 
+# Limits of verify --n-range.  A check at n costs about n^1.5 (decode and
+# the oracle's F_n), so a full window at the top, [98001, 100000], ends in
+# about 20 s on a 2-vCPU host.
+_VERIFY_N_MAX = 100_000
+_VERIFY_WIDTH_MAX = 2_000
+
 
 def _print_json(obj: object) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
@@ -205,6 +211,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n_lo, n_hi = _parse_range(args.n_range)
+    if n_hi > _VERIFY_N_MAX:
+        raise DomainError(f"--n-range must end at n <= {_VERIFY_N_MAX}, got {n_hi}")
+    if n_hi - n_lo >= _VERIFY_WIDTH_MAX:
+        raise DomainError(
+            f"--n-range may span at most {_VERIFY_WIDTH_MAX} values of n,"
+            f" got {n_hi - n_lo + 1}"
+        )
     if args.spec:
         spec = load_pattern(args.spec)
         if spec.a != args.a:
@@ -315,7 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_command("verify", help="sweep evaluate against the oracle")
     p.add_argument("a", type=int)
-    p.add_argument("--n-range", required=True, metavar="LO..HI")
+    p.add_argument(
+        "--n-range",
+        required=True,
+        metavar="LO..HI",
+        help=f"HI <= {_VERIFY_N_MAX} and at most {_VERIFY_WIDTH_MAX} values of n",
+    )
     p.add_argument("--spec", metavar="FILE", help="load pattern instead of synthesizing")
     p.set_defaults(func=cmd_verify)
 

@@ -83,7 +83,7 @@ from types import MappingProxyType
 from .bigfib import _fib_table, fib_residues
 from .basephi import EventuallyPeriodicBits
 from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
-from .inverse import _certificate, inverse_oracle
+from .inverse import _certificate, _oracle_walk, inverse_oracle
 from .zeckendorf import ZeckendorfRep, decode, encode, normalize_index_one
 
 __all__ = [
@@ -212,16 +212,15 @@ def _bits(word: str) -> bytes:
     return bytes(word, "ascii").translate(_BIT_BYTES)
 
 
-def _exact_remainder(a: int, n: int, i0: int, period: str, fibs: list[int]) -> int:
-    """R(n) by direct big-integer computation (cross-check path).
+def _exact_remainder(value: int, n: int, i0: int, period: str, fibs: list[int]) -> int:
+    """R(n) from the oracle's value of (a^-1 mod F_n) (cross-check path).
 
     Position i in [i0, n-1] carries period digit n-1-i, and n - i0 <= M
     (see ``synthesize``), so the explained part is the sum of
     F_(n-1-o) over the 1-offsets o < n - i0 of the period, taken in C by
     ``compress`` over the reversed table slice F_(n-1), ..., F_i0.  The
-    oracle value comes from ``inverse_oracle`` and does not read ``fibs``.
+    oracle value comes from ``_oracle_walk``, which does not read ``fibs``.
     """
-    value = inverse_oracle(a, n)
     return value - sum(compress(fibs[n - 1 : i0 - 1 : -1], _bits(period[: n - i0])))
 
 
@@ -348,9 +347,11 @@ def synthesize(a: int) -> PatternSpec:
     That word is built once, and its ZClass is shared by every residue r
     with b_r = b'.  Each cycle's residues are handled as soon as it is
     walked, and its states are then dropped.  Residue r's tail value is
-    read at the orbit state (r - i0) mod M of b_r/a by ``_tail`` and
-    cross-checked against the big-integer oracle at the first n >= n0 in
-    r's class.
+    read at the orbit state (r - i0) mod M of b_r/a by ``_tail`` and kept.
+    Once every cycle is walked, each tail value is cross-checked against
+    the big-integer oracle at the first n >= n0 in r's class, in n order
+    along one ``_oracle_walk`` of [n0, n0 + M - 1], so the oracle holds
+    one F_n pair at a time.
     """
     if a < 2:
         raise DomainError(f"need a >= 2, got {a}")
@@ -362,6 +363,7 @@ def synthesize(a: int) -> PatternSpec:
     # canonical text then find already in order; each cycle fills its values.
     z: dict[int, ZClass | None] = {}
     tail: dict[int, str | None] = {}
+    values: dict[int, int] = {}  # r -> R(n) at the first n >= n0 in r's class
     for r, f in enumerate(fs):
         if math.gcd(a, f) == 1:
             residues_of.setdefault(-pow(f, -1, a) % a, []).append(r)
@@ -393,12 +395,17 @@ def synthesize(a: int) -> PatternSpec:
                 n = n0 + (r - n0) % m_per
                 k = (j + r - i0) % m_per
                 q = qs[k]
-                value, tail[r] = _tail(a, n, i0, zc.period, qs[k + 1] - q, q, fibs)
-                if value != _exact_remainder(a, n, i0, zc.period, fibs):
-                    raise SynthesisError(
-                        f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
-                    )
+                values[r], tail[r] = _tail(a, n, i0, zc.period, qs[k + 1] - q, q, fibs)
                 z[r] = zc
+    # gcd(a, F_n) = gcd(a, F_r) for r = n mod M, so the walk finds exactly
+    # the residues of z admissible, each at one n.
+    for n, (g, inv) in zip(range(n0, n0 + m_per), _oracle_walk(a, n0, n0 + m_per - 1)):
+        if g == 1:
+            r = n % m_per
+            if values[r] != _exact_remainder(inv, n, i0, z[r].period, fibs):
+                raise SynthesisError(
+                    f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
+                )
     return PatternSpec(a=a, M=m_per, z=z, tail=tail)
 
 
@@ -519,8 +526,9 @@ def matches_oracle(rep: ZeckendorfRep, a: int, n: int) -> bool:
 
     Zeckendorf representations are unique, so this holds exactly when
     ``rep`` is canonical and decodes to the oracle's value; ``decode``
-    checks the first and computes the second.  The oracle shares only
-    ``fib`` with this check and nothing with the pattern code.
+    checks the first and computes the second.  The oracle shares only the
+    fast doubling of ``bigfib`` with this check and nothing with the
+    pattern code.
     """
     try:
         value = decode(rep)
@@ -532,14 +540,16 @@ def matches_oracle(rep: ZeckendorfRep, a: int, n: int) -> bool:
 def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
     """Check evaluate against the brute-force oracle on [n_lo, n_hi].
 
-    An n with gcd(a, F_n) > 1 is skipped: ``evaluate`` raises NotCoprime
-    for it, or, for a class that a hand-built spec gives an inadmissible
-    residue, the oracle does.  Every other n is checked.  A non-canonical
-    representation counts as a mismatch, and so does an ``n`` whose tail
-    word uses position 1 in a way that cannot be canonicalized or whose
-    admissible residue has no class (only a hand-built spec can carry
-    either); such a mismatch reports ``got = ()``.  The oracle value is
-    encoded only to report the first mismatch.
+    The oracle values come from one ``_oracle_walk`` of the window, and an
+    n whose walked gcd(a, F_n) is above 1 is skipped before ``evaluate``
+    runs, whatever classes the spec holds.  Every other n is checked: the
+    representation must be canonical and decode to the walked value (the
+    test of ``matches_oracle``).  A non-canonical representation counts as
+    a mismatch, and so does an ``n`` whose tail word uses position 1 in a
+    way that cannot be canonicalized or whose residue has no class (only
+    a hand-built spec can carry either); such a mismatch reports
+    ``got = ()``.  The walked value is encoded only to report the first
+    mismatch.
     """
     if not spec.n0 <= n_lo <= n_hi:
         raise DomainError(
@@ -549,28 +559,24 @@ def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
     checked = 0
     mismatches = 0
     first: MismatchDetail | None = None
-    for n in range(n_lo, n_hi + 1):
-        try:
-            try:
-                rep = evaluate(spec, n)
-                ok = matches_oracle(rep, spec.a, n)
-            except InvalidRep:
-                # The tail word cannot be canonicalized; the oracle alone
-                # can tell whether n is admissible.
-                inverse_oracle(spec.a, n)
-                rep, ok = None, False
-        except NotCoprime:
+    for n, (g, want) in zip(range(n_lo, n_hi + 1), _oracle_walk(spec.a, n_lo, n_hi)):
+        if g != 1:
             continue
-        except DomainError:
-            # evaluate found n admissible but the spec has no class for it.
-            rep, ok = None, False
         checked += 1
+        rep = None
+        try:
+            rep = evaluate(spec, n)
+            ok = decode(rep) == want
+        except (DomainError, InvalidRep):
+            # From evaluate: the residue has no class or tail word, or the
+            # tail word cannot be canonicalized (rep stays None).  From
+            # decode: rep is not canonical.
+            ok = False
         if not ok:
             mismatches += 1
             if first is None:
-                want = encode(inverse_oracle(spec.a, n))
                 got = () if rep is None else rep.indices
-                first = MismatchDetail(n=n, expected=want.indices, got=got)
+                first = MismatchDetail(n=n, expected=encode(want).indices, got=got)
     elapsed_s = time.perf_counter() - started
     return VerificationReport(spec.a, n_lo, n_hi, checked, mismatches, first, elapsed_s)
 

@@ -23,6 +23,7 @@ from zeckinv import (
     save_pattern,
     synthesize,
     to_json_dict,
+    VerificationReport,
 )
 from zeckinv.cli import main
 
@@ -316,6 +317,30 @@ def test_exit_code_malformed_range_and_missing_argument(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "need an integer" in captured.err
+
+
+def test_verify_range_limits_exit_2_before_any_work(capsys, monkeypatch):
+    # Past either limit the command exits 2 with one error line before it
+    # synthesizes or verifies; at the limits it goes on to verify, which
+    # is stubbed here so that no window at the limit runs.
+    calls = []
+
+    def stub_verify(spec, n_lo, n_hi):
+        calls.append((n_lo, n_hi))
+        return VerificationReport(spec.a, n_lo, n_hi, 0, 0, None, 0.0)
+
+    top, width = zeckinv.cli._VERIFY_N_MAX, zeckinv.cli._VERIFY_WIDTH_MAX
+    monkeypatch.setattr(zeckinv.cli, "verify", stub_verify)
+    monkeypatch.setattr(zeckinv.cli, "synthesize", _no_synthesis)
+    for n_range in (f"8..{top + 1}", "8..100000000000", f"8..{8 + width}"):
+        assert main(["verify", "2", "--n-range", n_range]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n-range ") and err.count("\n") == 1, err
+    monkeypatch.setattr(zeckinv.cli, "synthesize", synthesize)
+    for lo, hi in ((top - width + 1, top), (8, 7 + width)):
+        assert main(["verify", "2", "--n-range", f"{lo}..{hi}"]) == 0
+    assert calls == [(top - width + 1, top), (8, 7 + width)]
+    capsys.readouterr()
 
 
 def _close_stdout_after(argv, head, **env_vars):

@@ -5,12 +5,15 @@ import math
 import pytest
 
 import zeckinv.bigfib
+from zeckinv.inverse import _oracle_walk
+from zeckinv.pattern import _i0
 from zeckinv import (
     DomainError,
     NotCoprime,
     fib,
     inverse_closed,
     inverse_oracle,
+    pisano,
 )
 
 
@@ -28,6 +31,25 @@ def test_oracle_not_coprime():
     assert exc.value.gcd == 2
     with pytest.raises(NotCoprime):
         inverse_oracle(3, 8)  # F_8 = 21 = 3 * 7
+
+
+@pytest.mark.parametrize("a", range(2, 61))
+def test_oracle_walk_matches_the_one_n_oracle(a):
+    # Windows from n = 3 and from n0, each short and longer than 2M: one
+    # walk per window, against the oracle's own fast doubling per n.
+    m, n0 = pisano(a), _i0(a) + 1
+    for lo, hi in ((3, 30), (3, 3 + 2 * m + 1), (n0, n0 + 30), (n0, n0 + 2 * m + 1)):
+        walked = list(_oracle_walk(a, lo, hi))
+        assert len(walked) == hi - lo + 1
+        for n, (g, value) in zip(range(lo, hi + 1), walked):
+            assert g == math.gcd(a, fib(n)), (a, n)
+            if g == 1:
+                assert value == inverse_oracle(a, n), (a, n)
+            else:
+                assert value is None, (a, n)
+                with pytest.raises(NotCoprime) as exc:
+                    inverse_oracle(a, n)
+                assert exc.value.gcd == g, (a, n)
 
 
 def test_closed_examples():

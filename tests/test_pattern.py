@@ -52,6 +52,7 @@ from zeckinv import (
     verify,
 )
 from zeckinv.cli import _a2_expected_indices
+from zeckinv.inverse import _oracle_walk
 from zeckinv.pattern import (
     _fib_table,
     _greedy_word,
@@ -607,14 +608,32 @@ def test_n0_is_one_past_i0():
         assert spec.inadmissible == {r for r in range(spec.M) if math.gcd(a, fib(r)) != 1}, a
 
 
+def _off_by_one_walk(a, lo, hi):
+    """The oracle walk with every inverse one too large."""
+    for g, value in _oracle_walk(a, lo, hi):
+        yield g, None if value is None else value + 1
+
+
 def test_synthesize_cross_checks_tail_values_against_the_oracle(monkeypatch):
     # An oracle off by one: every orbit tail value now disagrees with it.
-    def off_by_one(a, n):
-        return inverse_oracle(a, n) + 1
-
-    monkeypatch.setattr(zeckinv.pattern, "inverse_oracle", off_by_one)
+    monkeypatch.setattr(zeckinv.pattern, "_oracle_walk", _off_by_one_walk)
     with pytest.raises(SynthesisError, match=r"exact remainder at a=7, n=\d+$"):
         synthesize(7)
+
+
+def test_verify_checks_every_n_against_the_oracle_walk(monkeypatch):
+    # The same oracle off by one: every checked n becomes a mismatch, and
+    # the first is reported with the walked value.
+    spec = _spec(7)
+    lo, hi = spec.n0, spec.n0 + 3 * spec.M
+    checked = verify(spec, lo, hi).checked
+    monkeypatch.setattr(zeckinv.pattern, "_oracle_walk", _off_by_one_walk)
+    report = verify(spec, lo, hi)
+    assert report.mismatches == report.checked == checked > 0
+    n = lo if spec.is_admissible(lo) else lo + 1
+    assert report.first_mismatch == MismatchDetail(
+        n=n, expected=encode(inverse_oracle(7, n) + 1).indices, got=evaluate(spec, n).indices
+    )
 
 
 def test_inverse_at_cross_checks_against_the_oracle(monkeypatch):
@@ -977,11 +996,12 @@ def test_verify_counts_unnormalizable_tail_as_mismatch(spec2):
     assert report.first_mismatch.got == ()
 
 
-@pytest.mark.parametrize("word", ["10100", "00011"])
+@pytest.mark.parametrize("word", ["10100", "00011", "00110"])
 def test_verify_skips_a_hand_built_class_at_an_inadmissible_residue(spec2, word):
     # Residue 0 is inadmissible for a = 2 (F_3 = 2).  With a class there,
-    # evaluate returns a representation ("10100") or raises InvalidRep
-    # ("00011"); either way the oracle refuses n, and verify skips it.
+    # evaluate would return a representation ("10100"), a non-canonical
+    # one ("00110") or raise InvalidRep ("00011"); the oracle walk finds
+    # gcd(2, F_n) = 2 first, and verify skips n.
     bad = dataclasses.replace(
         spec2,
         z={**spec2.z, 0: spec2.z[1]},
@@ -990,6 +1010,50 @@ def test_verify_skips_a_hand_built_class_at_an_inadmissible_residue(spec2, word)
     report = verify(bad, 8, 40)
     assert (report.checked, report.mismatches) == (verify(spec2, 8, 40).checked, 0)
     assert report.first_mismatch is None
+
+
+def _hand_built_specs():
+    """The damaged specs of the verify tests above, each with a window."""
+    spec2, spec3, spec5 = _spec(2), _spec(3), _spec(5)
+    tail2 = dict(spec2.tail)
+    return [
+        (dataclasses.replace(spec2, tail={**tail2, 1: "00100"}), 8, 40),
+        (dataclasses.replace(spec2, tail={**tail2, 2: "10000"}), 8, 40),
+        (dataclasses.replace(spec2, tail={**tail2, 2: "00110"}), 8, 40),
+        (dataclasses.replace(spec2, tail={**tail2, 2: "00011"}), 8, 40),
+        *(
+            (dataclasses.replace(
+                spec2, z={**spec2.z, 0: spec2.z[1]}, tail={**tail2, 0: word}
+            ), 8, 40)
+            for word in ("10100", "00011")
+        ),
+        (dataclasses.replace(spec3, tail={}), 8, 40),
+        (dataclasses.replace(
+            spec5,
+            z={r: zc for r, zc in spec5.z.items() if r != 1},
+            tail={r: word for r, word in spec5.tail.items() if r != 1},
+        ), 21, 80),
+    ]
+
+
+def test_verify_skips_exactly_the_n_with_a_gcd_above_one(monkeypatch):
+    # verify hands evaluate every n of the window with gcd(a, F_n) = 1 and
+    # no other, on canonical specs and on hand-built ones alike, and
+    # counts each of them.
+    seen = []
+
+    def spy(spec, n):
+        seen.append(n)
+        return evaluate(spec, n)
+
+    cases = [(_spec(a), _spec(a).n0, _spec(a).n0 + 2 * _spec(a).M) for a in range(2, 41)]
+    monkeypatch.setattr(zeckinv.pattern, "evaluate", spy)
+    for spec, lo, hi in cases + _hand_built_specs():
+        seen.clear()
+        report = verify(spec, lo, hi)
+        want = [n for n in range(lo, hi + 1) if math.gcd(spec.a, fib(n)) == 1]
+        assert seen == want, (spec.a, lo, hi)
+        assert report.checked == len(want), (spec.a, lo, hi)
 
 
 def test_report_to_json_dict_writes_the_first_mismatch(spec2):
