@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -48,9 +49,18 @@ _WRITE_PIECE = 1 << 16  # characters per write of a long output
 
 # Limits of verify --n-range.  A check at n costs about n^1.5 (decode and
 # the oracle's F_n), so a full window at the top, [98001, 100000], ends in
-# about 20 s on a 2-vCPU host.
+# about 13 s on a 2-vCPU host.
 _VERIFY_N_MAX = 100_000
 _VERIFY_WIDTH_MAX = 2_000
+
+# Limit of pisano M.  The walk takes pi(M) <= 6M steps, 6M exactly at
+# M = 2*5^k; the worst M under the limit, 2*5^10, ends in about 15 s.
+_PISANO_M_MAX = 20_000_000
+
+# Limit of basephi's common denominator D.  The orbit keeps one state per
+# digit, about pi(D) <= 6D of them at some 220 bytes each; the worst D
+# under the limit, 2*5^8, ends in about 7 s and 1 GB.
+_BASEPHI_DEN_MAX = 1_000_000
 
 
 def _print_json(obj: object) -> None:
@@ -175,6 +185,11 @@ def cmd_basephi(args: argparse.Namespace) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"not a rational: {exc}") from exc
         x = QPhi(u, v)
+    den = math.lcm(x.u.denominator, x.v.denominator)
+    if den > _BASEPHI_DEN_MAX:
+        raise DomainError(
+            f"the common denominator must be <= {_BASEPHI_DEN_MAX}, got {den}"
+        )
     bits = expand(x)
     if args.json:
         _print_json(
@@ -191,6 +206,8 @@ def cmd_basephi(args: argparse.Namespace) -> int:
 
 
 def cmd_pisano(args: argparse.Namespace) -> int:
+    if args.m > _PISANO_M_MAX:
+        raise DomainError(f"m must be <= {_PISANO_M_MAX}, got {args.m}")
     pi = pisano(args.m)
     if args.json:
         _print_json({"m": args.m, "pi": pi})
@@ -317,13 +334,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decode", metavar="BITS", help="bit word, positions down to 2")
     p.set_defaults(func=cmd_zeckendorf)
 
-    p = add_command("basephi", help="digit expansion of u + v*phi in [0, 1)")
+    p = add_command(
+        "basephi",
+        help="digit expansion of u + v*phi in [0, 1)"
+        f" (common denominator <= {_BASEPHI_DEN_MAX})",
+    )
     p.add_argument("u", help="rational u (e.g. 1/2), or a 'u + v*phi' literal")
     p.add_argument("v", nargs="?", help="rational v (default 0)")
     p.set_defaults(func=cmd_basephi)
 
     p = add_command("pisano", help="period of the Fibonacci sequence mod m")
-    p.add_argument("m", type=int)
+    p.add_argument("m", type=int, help=f"modulus, at most {_PISANO_M_MAX}")
     p.set_defaults(func=cmd_pisano)
 
     p = add_command("verify", help="sweep evaluate against the oracle")

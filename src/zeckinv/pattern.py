@@ -524,17 +524,18 @@ def _assemble(n: int, i0: int, per: str, word: str) -> ZeckendorfRep:
 def matches_oracle(rep: ZeckendorfRep, a: int, n: int) -> bool:
     """Whether ``rep`` is the Zeckendorf representation of (a^-1 mod F_n).
 
-    Zeckendorf representations are unique, so this holds exactly when
-    ``rep`` is canonical and decodes to the oracle's value; ``decode``
-    checks the first and computes the second.  The oracle shares only the
-    fast doubling of ``bigfib`` with this check and nothing with the
-    pattern code.
+    The oracle is asked first, so an n with gcd(a, F_n) > 1 raises
+    ``NotCoprime`` whatever ``rep`` is.  Zeckendorf representations are
+    unique, so at any other n this holds exactly when ``rep`` is canonical
+    and decodes to the oracle's value; ``decode`` checks the first and
+    computes the second.  The oracle shares only the fast doubling of
+    ``bigfib`` with this check and nothing with the pattern code.
     """
+    expected = inverse_oracle(a, n)
     try:
-        value = decode(rep)
+        return decode(rep) == expected
     except InvalidRep:
         return False
-    return value == inverse_oracle(a, n)
 
 
 def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:

@@ -10,6 +10,7 @@ is a first-class operation here.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 from .bigfib import _fib_table
 from .errors import DomainError, InvalidRep
@@ -32,6 +33,21 @@ _LEAF = 1 << _LEAF_BITS
 _FIBS = _fib_table(_LEAF + 1)
 _FIELD = _FIBS[_LEAF + 1].bit_length()
 _LEAF_PAIRS = [_FIBS[j] | _FIBS[j + 1] << _FIELD for j in range(_LEAF)]
+
+
+@lru_cache(maxsize=None)
+def _split(level: int) -> tuple[int, int]:
+    """(F_(k-1), F_k) for the split width k = _LEAF * 2**level of decode.
+
+    Each level doubles the one below, (F_(k-1), F_k) -> (F_(2k-1), F_(2k)),
+    so an entry depends on its level alone and is computed once per process.
+    The levels kept hold 1.4 to 2.8 bits per position of the largest top
+    index decoded so far (22 KiB at 10^5).
+    """
+    if level == 0:
+        return _FIBS[_LEAF - 1], _FIBS[_LEAF]
+    y, x = _split(level - 1)
+    return y * y + x * x, x * (x + 2 * y)
 
 
 def _check_indices(indices: tuple[int, ...], lowest: int) -> None:
@@ -137,12 +153,13 @@ def decode(rep: ZeckendorfRep) -> int:
         B = B_lo + (x + y)(A_hi + B_hi) - y A_hi.
 
     Levels are joined while more than two blocks remain.  The root is
-    based at position 0, so its A is the value; the last join computes only
-    that A, two products.  The Fibonacci numbers of the split widths are
-    doubled once per level, so for top index n the cost is O(M(n) log n),
-    M(n) the cost of multiplying n-bit integers, plus one table addition
-    per index and one store per leaf reached; adding F_i position by
-    position would cost Theta(n^2).
+    based at position 0, so its A is the value, and the lowest block of
+    every level lies on the root's low edge: it is joined for A alone, two
+    products, and so is the root.  The pair (F_(k-1), F_k) of each split
+    width is computed once per level per process (_split), so for top index
+    n the cost is O(M(n) log n), M(n) the cost of multiplying n-bit
+    integers, plus one table addition per index and one store per leaf
+    reached; adding F_i position by position would cost Theta(n^2).
     """
     indices = rep.indices
     canonical = False
@@ -173,20 +190,21 @@ def decode(rep: ZeckendorfRep) -> int:
         _check_indices(indices, 2)
     low = (1 << _FIELD) - 1
     pairs = [(s & low, s >> _FIELD) for s in sums]
-    # (F_(k-1), F_k) for the width k of the blocks joined at this level.
-    y, x = _FIBS[_LEAF - 1], _FIBS[_LEAF]
+    level = 0
     while len(pairs) > 2:
+        y, x = _split(level)
         s = x + y
-        joined = []
-        for (a0, b0), (a1, b1) in zip(pairs[::2], pairs[1::2]):
+        (a0, _), (a1, b1) = pairs[0], pairs[1]
+        joined = [(a0 + x * b1 + y * a1, None)]  # the root reads only its A
+        for (a0, b0), (a1, b1) in zip(pairs[2::2], pairs[3::2]):
             ya = y * a1
             joined.append((a0 + x * b1 + ya, b0 + s * (a1 + b1) - ya))
         if len(pairs) % 2:
             joined.append(pairs[-1])
         pairs = joined
-        # (F_(k-1), F_k) -> (F_(2k-1), F_(2k))
-        y, x = y * y + x * x, x * (y + s)
+        level += 1
     if len(pairs) == 2:
+        y, x = _split(level)
         (a0, _), (a1, b1) = pairs
         return a0 + x * b1 + y * a1
     return pairs[0][0]

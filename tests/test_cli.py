@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,10 @@ import zeckinv.cli
 import zeckinv.bigfib
 import zeckinv.pattern
 from zeckinv import (
+    QPhi,
     decode,
     encode,
+    expand,
     from_bit_string,
     from_json_dict,
     inverse_oracle,
@@ -340,6 +343,37 @@ def test_verify_range_limits_exit_2_before_any_work(capsys, monkeypatch):
     for lo, hi in ((top - width + 1, top), (8, 7 + width)):
         assert main(["verify", "2", "--n-range", f"{lo}..{hi}"]) == 0
     assert calls == [(top - width + 1, top), (8, 7 + width)]
+    capsys.readouterr()
+
+
+def test_pisano_and_basephi_limits_exit_2_before_any_work(capsys, monkeypatch):
+    # Past the limit on pisano's m or on basephi's common denominator the
+    # command exits 2 with one error line before it walks; at the limit it
+    # goes on to the walk, which is stubbed so that none runs at the limit.
+    calls = []
+    monkeypatch.setattr(zeckinv.cli, "pisano", lambda m: calls.append(m) or 1)
+    monkeypatch.setattr(
+        zeckinv.cli, "expand", lambda x: calls.append(x) or expand(Fraction(1, 2))
+    )
+    m_max, den_max = zeckinv.cli._PISANO_M_MAX, zeckinv.cli._BASEPHI_DEN_MAX
+    past = [
+        (["pisano", str(m_max + 1)], "error: m must be <= "),
+        (["pisano", "1000000007"], "error: m must be <= "),
+        (["basephi", f"1/{den_max + 1}"], "error: the common denominator "),
+        (["basephi", "1/1000000007"], "error: the common denominator "),
+        (["basephi", "0", f"1/{den_max + 1}"], "error: the common denominator "),
+        # lcm(3, den_max) is past the limit though each denominator is not
+        (["basephi", f"1/3 + 1/{den_max}*phi"], "error: the common denominator "),
+    ]
+    for argv, head in past:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(head) and err.count("\n") == 1, err
+    assert calls == []
+    assert main(["pisano", str(m_max)]) == 0
+    assert main(["basephi", f"1/{den_max}"]) == 0
+    assert main(["basephi", "0", f"1/{den_max}"]) == 0
+    assert calls == [m_max, QPhi(Fraction(1, den_max)), QPhi(0, Fraction(1, den_max))]
     capsys.readouterr()
 
 

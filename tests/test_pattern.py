@@ -150,6 +150,18 @@ def test_every_inverse_route_refuses_a_non_coprime_n_alike(spec2):
     assert errors == [(2, "gcd(2, F_12) = 2; no inverse exists")] * 3
 
 
+def test_matches_oracle_refuses_an_inadmissible_n_whatever_the_rep():
+    # F_9 = 34: the oracle is asked before the representation is decoded,
+    # so a non-canonical rep raises as a canonical one does.
+    for rep in (ZeckendorfRep((7, 6), _validate=False), ZeckendorfRep((7, 5))):
+        with pytest.raises(NotCoprime) as exc:
+            matches_oracle(rep, 2, 9)
+        assert exc.value.gcd == 2
+    # At an admissible n a non-canonical rep is still just a mismatch.
+    assert not matches_oracle(ZeckendorfRep((7, 6), _validate=False), 2, 8)
+    assert matches_oracle(encode(inverse_oracle(2, 8)), 2, 8)
+
+
 def test_missing_tail_word_is_a_domain_error_and_a_mismatch(spec3):
     # A hand-built spec with every z class but no tail word: evaluate
     # refuses each admissible n as it refuses a missing class, and verify

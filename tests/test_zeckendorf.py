@@ -15,6 +15,7 @@ from zeckinv import (
     normalize_index_one,
     to_bit_string,
 )
+from zeckinv.zeckendorf import _split
 
 
 def naive_fib_list(count):
@@ -92,13 +93,18 @@ def test_decode_checks_canonicity_like_the_constructor(indices):
 LEAF_EDGE_TOPS = [256 * m + d for m in range(1, 10) for d in (-1, 0, 1)]
 
 
-@pytest.mark.parametrize("top", LEAF_EDGE_TOPS)
-def test_decode_at_leaf_edges(top):
-    dense = range(top, 1, -2)
-    # top, then both neighbours of every leaf edge below it
+def sets_under(top):
+    """A dense set, top and both neighbours of every leaf edge below it,
+    and top alone."""
+    dense = list(range(top, 1, -2))
     edges = {256 * j + e for j in range(top // 256 + 1) for e in (-1, 1)}
     sparse = [top, *sorted((p for p in edges if 2 <= p <= top - 2), reverse=True)]
-    for indices in (dense, sparse, [top]):
+    return [dense, sparse, [top]]
+
+
+@pytest.mark.parametrize("top", LEAF_EDGE_TOPS)
+def test_decode_at_leaf_edges(top):
+    for indices in sets_under(top):
         assert decode(ZeckendorfRep(indices)) == sum(FIBS[i] for i in indices)
 
 
@@ -119,6 +125,36 @@ SPARSE_SETS = [
 @pytest.mark.parametrize("indices", SPARSE_SETS)
 def test_decode_across_empty_leaves(indices):
     assert decode(ZeckendorfRep(indices)) == sum(FIBS[i] for i in indices)
+
+
+# decode reads each level's split pair from a process-wide cache and joins
+# the lowest block of each level for A only.  Tops next to 256 * 2^k for k
+# up to 8 take up to nine join levels: odd block counts, a carried last
+# block, the A-only lowest block and a two-block root.
+LEVEL_TOPS = [256 * 2**k + d for k in range(9) for d in (-1, 0, 1)]
+
+
+def level_cases():
+    """(indices, sum of F_i) for each of sets_under(top), smallest top of
+    LEVEL_TOPS first; the sums come from one plain walk of (F_i, F_(i+1)),
+    with no table of every F_i up to 2^16 + 1."""
+    cases = [indices for top in LEVEL_TOPS for indices in sets_under(top)]
+    needed = set().union(*cases)
+    fib, f, g = {}, 0, 1
+    for i in range(max(needed) + 1):
+        if i in needed:
+            fib[i] = f
+        f, g = g, f + g
+    return [(indices, sum(fib[i] for i in indices)) for indices in cases]
+
+
+def test_decode_does_not_depend_on_the_order_the_level_cache_fills():
+    cases = level_cases()
+    for order in (cases[::-1], cases):  # largest top first, then smallest
+        _split.cache_clear()
+        for indices, want in order:
+            ok = decode(ZeckendorfRep(indices)) == want
+            assert ok, (indices[0], len(indices))
 
 
 def test_round_trip():
