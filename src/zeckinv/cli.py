@@ -33,11 +33,11 @@ from .pattern import (
     _i0,
     _inverse_at,
     _pattern_text,
+    _write_pattern,
     evaluate,
     load_pattern,
     matches_oracle,
     report_to_json_dict,
-    save_pattern,
     synthesize,
     verify,
 )
@@ -61,6 +61,18 @@ _PISANO_M_MAX = 20_000_000
 # digit, about pi(D) <= 6D of them at some 220 bytes each; the worst D
 # under the limit, 2*5^8, ends in about 7 s and 1 GB.
 _BASEPHI_DEN_MAX = 1_000_000
+
+# Limit of a for pattern, and for verify without --spec: both synthesize.
+# The z table holds M characters for each of up to M admissible residues,
+# M = pi(a) <= 6a; the worst a under the limit, 4802 = 2*7^4 with
+# M = 16464 and 9604 residues, writes 158 MB of --json in about 22 s
+# and 510 MB.
+_PATTERN_A_MAX = 5_000
+
+# Limit of inverse's n.  The closed form and the oracle build F_n and
+# encode spells it greedily, in time quadratic in n; at the limit, with
+# --method oracle or closed and --debug, a run ends in about 13 s and 43 MB.
+_INVERSE_N_MAX = 500_000
 
 
 def _print_json(obj: object) -> None:
@@ -99,15 +111,22 @@ def _print_rep(as_json: bool, value: int, rep, fields: dict, note: str) -> None:
 # --------------------------------------------------------------------------
 
 
+def _synthesize_bounded(a: int):
+    if a > _PATTERN_A_MAX:
+        raise DomainError(f"a must be <= {_PATTERN_A_MAX}, got {a}")
+    return synthesize(a)
+
+
 def cmd_pattern(args: argparse.Namespace) -> int:
-    spec = synthesize(args.a)
+    spec = _synthesize_bounded(args.a)
+    if args.out or args.json:
+        text = _pattern_text(spec)
     if args.out:
-        save_pattern(spec, args.out)
+        _write_pattern(text, args.out)
     if args.json:
         # In pieces: with an unbuffered stdout (python -u), a write that
         # the closed pipe cuts short returns its count and raises nothing,
         # so only a further write raises BrokenPipeError.
-        text = _pattern_text(spec)
         for at in range(0, len(text), _WRITE_PIECE):
             sys.stdout.write(text[at : at + _WRITE_PIECE])
     else:
@@ -131,6 +150,8 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 
 def cmd_inverse(args: argparse.Namespace) -> int:
     a, n, method = args.a, args.n, args.method
+    if n > _INVERSE_N_MAX:
+        raise DomainError(f"n must be <= {_INVERSE_N_MAX}, got {n}")
     if method == "auto":
         # n0 = i0 + 1 depends on a alone; above i0 one orbit walk answers.
         method = "pattern" if a >= 2 and n > _i0(a) else "closed"
@@ -240,7 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if spec.a != args.a:
             raise DomainError(f"spec file is for a={spec.a}, not a={args.a}")
     else:
-        spec = synthesize(args.a)
+        spec = _synthesize_bounded(args.a)
     report = verify(spec, n_lo, n_hi)
     if args.json:
         _print_json(report_to_json_dict(report))
@@ -315,13 +336,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_command = partial(sub.add_parser, parents=[json_flag])
 
     p = add_command("pattern", help="synthesize the periodic pattern for a")
-    p.add_argument("a", type=int)
+    p.add_argument("a", type=int, help=f"at most {_PATTERN_A_MAX}")
     p.add_argument("--out", metavar="FILE", help="also save the pattern as JSON")
     p.set_defaults(func=cmd_pattern)
 
     p = add_command("inverse", help="compute (a^-1 mod F_n)")
     p.add_argument("a", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"at most {_INVERSE_N_MAX}")
     p.add_argument(
         "--method",
         choices=("auto", "pattern", "closed", "oracle"),
@@ -348,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pisano)
 
     p = add_command("verify", help="sweep evaluate against the oracle")
-    p.add_argument("a", type=int)
+    p.add_argument("a", type=int, help=f"at most {_PATTERN_A_MAX} without --spec")
     p.add_argument(
         "--n-range",
         required=True,

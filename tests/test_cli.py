@@ -21,6 +21,7 @@ from zeckinv import (
     expand,
     from_bit_string,
     from_json_dict,
+    InverseResult,
     inverse_oracle,
     load_pattern,
     save_pattern,
@@ -29,6 +30,7 @@ from zeckinv import (
     VerificationReport,
 )
 from zeckinv.cli import main
+from zeckinv.pattern import _pattern_text
 
 
 def run(capsys, *argv):
@@ -186,6 +188,26 @@ def test_pattern_json_prints_the_file_bytes(tmp_path, capsys):
     assert code == 0
     text = json.dumps(to_json_dict(synthesize(30)), sort_keys=True, indent=2) + "\n"
     assert out.encode() == path.read_bytes() == text.encode()
+
+
+def test_pattern_json_out_over_a_longer_file_builds_the_text_once(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "p.json"
+    assert main(["pattern", "100", "--out", str(path)]) == 0
+    capsys.readouterr()
+    built = []
+
+    def counting(spec):
+        built.append(spec.a)
+        return _pattern_text(spec)
+
+    monkeypatch.setattr(zeckinv.cli, "_pattern_text", counting)
+    monkeypatch.setattr(zeckinv.pattern, "_pattern_text", counting)
+    code, out = run(capsys, "pattern", "30", "--json", "--out", str(path))
+    assert code == 0
+    assert out.encode() == path.read_bytes() == _pattern_text(synthesize(30)).encode()
+    assert built == [30]
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
@@ -374,6 +396,60 @@ def test_pisano_and_basephi_limits_exit_2_before_any_work(capsys, monkeypatch):
     assert main(["basephi", f"1/{den_max}"]) == 0
     assert main(["basephi", "0", f"1/{den_max}"]) == 0
     assert calls == [m_max, QPhi(Fraction(1, den_max)), QPhi(0, Fraction(1, den_max))]
+    capsys.readouterr()
+
+
+def test_pattern_verify_and_inverse_limits_exit_2_before_any_work(capsys, monkeypatch):
+    # Past the limit on a (pattern, verify without --spec) or on inverse's
+    # n the command exits 2 with one error line before it walks; at the
+    # limit it goes on to the work, which is stubbed so that none runs.
+    calls = []
+    small = synthesize(2)
+    rep = encode(11)
+
+    def stub(name, result):
+        return lambda *args: calls.append((name, *args)) or result
+
+    monkeypatch.setattr(zeckinv.cli, "synthesize", stub("synthesize", small))
+    monkeypatch.setattr(
+        zeckinv.cli,
+        "verify",
+        lambda spec, lo, hi: VerificationReport(spec.a, lo, hi, 0, 0, None, 0.0),
+    )
+    monkeypatch.setattr(zeckinv.cli, "_inverse_at", stub("_inverse_at", rep))
+    monkeypatch.setattr(
+        zeckinv.cli, "inverse_closed", stub("inverse_closed", InverseResult(2, 8, 11, 1))
+    )
+    monkeypatch.setattr(zeckinv.cli, "inverse_oracle", stub("inverse_oracle", 11))
+    monkeypatch.setattr(zeckinv.cli, "encode", stub("encode", rep))
+    a_max, n_max = zeckinv.cli._PATTERN_A_MAX, zeckinv.cli._INVERSE_N_MAX
+    past = [
+        (["pattern", str(a_max + 1)], "error: a must be <= "),
+        (["pattern", "1000000007"], "error: a must be <= "),
+        (["verify", str(a_max + 1), "--n-range", "8..100"], "error: a must be <= "),
+        (["inverse", "7", str(n_max + 1)], "error: n must be <= "),
+        (["--debug", "inverse", "2", "100000000000", "--method", "closed"],
+         "error: n must be <= "),
+        (["inverse", "1000000000039", str(n_max + 1), "--method", "oracle"],
+         "error: n must be <= "),
+    ]
+    for argv, head in past:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(head) and err.count("\n") == 1, err
+    assert calls == []
+    assert main(["pattern", str(a_max)]) == 0
+    assert main(["verify", str(a_max), "--n-range", "8..100"]) == 0
+    assert main(["inverse", "7", str(n_max)]) == 0
+    assert main(["--debug", "inverse", "7", str(n_max), "--method", "closed"]) == 0
+    assert calls == [
+        ("synthesize", a_max),
+        ("synthesize", a_max),
+        ("_inverse_at", 7, n_max),
+        ("inverse_closed", 7, n_max),
+        ("encode", 11),
+        ("inverse_oracle", 7, n_max),
+    ]
     capsys.readouterr()
 
 

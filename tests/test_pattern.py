@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -874,6 +875,46 @@ def test_save_pattern_refuses_unwritable_path(tmp_path, spec2, where):
     path = tmp_path / "absent" / "p.json" if where == "missing-directory" else tmp_path
     with pytest.raises(DomainError, match="cannot write pattern file"):
         save_pattern(spec2, str(path))
+
+
+@pytest.mark.parametrize("first, second", [(30, 2), (2, 30)])
+def test_save_pattern_over_a_file_leaves_exactly_the_new_text(tmp_path, first, second):
+    # A shorter text written over a longer file is cut at its end; a
+    # longer one grows the file.  The rewrite keeps the file's inode.
+    path = tmp_path / "p.json"
+    save_pattern(synthesize(first), str(path))
+    inode = path.stat().st_ino
+    save_pattern(synthesize(second), str(path))
+    assert path.read_bytes() == _pattern_text(synthesize(second)).encode("ascii")
+    assert path.stat().st_ino == inode
+
+
+def test_save_pattern_failing_text_leaves_the_file_as_it_was(tmp_path, spec2, monkeypatch):
+    path = tmp_path / "p.json"
+    save_pattern(spec2, str(path))
+    before = path.read_bytes()
+
+    def broken(spec):
+        raise RuntimeError("no text")
+
+    monkeypatch.setattr(zeckinv.pattern, "_pattern_text", broken)
+    with pytest.raises(RuntimeError, match="no text"):
+        save_pattern(spec2, str(path))
+    assert path.read_bytes() == before
+
+
+def test_save_pattern_new_file_gets_the_mode_of_open_w(tmp_path, spec2):
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    path = tmp_path / "p.json"
+    save_pattern(spec2, str(path))
+    assert path.stat().st_mode == reference.stat().st_mode
+
+
+def test_save_pattern_writes_to_a_device(spec2):
+    # A device has no length to cut, as under open(path, "w").
+    save_pattern(spec2, os.devnull)
 
 
 def test_file_round_trip(tmp_path, spec7):
