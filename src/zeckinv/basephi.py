@@ -5,6 +5,9 @@ no two consecutive 1s, and a tail that is not ultimately 0,1,0,1,...
 The sequence is produced by iterating T(x) = (phi*x mod 1) and reading
 the floor at each step; for field elements it is eventually periodic,
 and the expansion is computed exactly by cycle detection on the orbit.
+Each digit is one test on integers, u + floor(phi*v) >= den, with the
+floor kept in ``_PhiFloors``: the package's one floor(phi*v), which the
+orbit walk of ``pattern`` and ``QPhi.floor`` read too.
 
 The functions that compute in Q(phi) import ``qphi`` when called, so
 importing this module for ``EventuallyPeriodicBits`` does not load it.
@@ -80,32 +83,54 @@ def _primitive_root(word: str) -> str:
     return word[: (word + word).find(word, 1)]
 
 
-def _unit_interval_pair(x: QPhi | Fraction | int) -> tuple[int, int, int]:
-    """Coerce x to integer coordinates (p, q, den) with x = (p + q*phi)/den,
-    gcd-reduced; raises DomainError unless x lies in [0, 1)."""
+class _PhiFloors(dict):
+    """floor(phi*v) for an int v, computed with ``isqrt`` on first use and kept.
+
+    With s = isqrt(5 v^2), phi*v = (v + sqrt(5 v^2))/2 for v >= 0 and
+    (v - sqrt(5 v^2))/2 for v < 0.  sqrt(5 v^2) is irrational for v != 0
+    and lies in (s, s + 1), so the floor is (v + s) // 2 and
+    (v - s - 1) // 2; for v = 0 both read 0.  For ints u and n,
+    u + v*phi >= n exactly when u + floor(phi*v) >= n: the digit test of
+    ``expand`` and the range check of ``_unit_interval_pair``.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> int:
+        s = math.isqrt(5 * v * v)
+        f = self[v] = (v + s) // 2 if v >= 0 else (v - s - 1) // 2
+        return f
+
+
+def _unit_interval_pair(x: QPhi | Fraction | int, fl: _PhiFloors) -> tuple[int, int, int]:
+    """Integer coordinates (p, q, den) of x = (p + q*phi)/den, den the lcm of
+    the denominators (so gcd(p, q, den) = 1); raises DomainError unless x is
+    in [0, 1), that is unless 0 <= p + floor(phi*q) < den (``_PhiFloors``)."""
     from fractions import Fraction
     from .qphi import QPhi
     if isinstance(x, (int, Fraction)):
         x = QPhi(x)
     if not isinstance(x, QPhi):
         raise DomainError(f"cannot expand {x!r}")
-    if x.sign() < 0 or (x - 1).sign() >= 0:
-        raise DomainError(f"{x} is outside [0, 1)")
     den = math.lcm(x.u.denominator, x.v.denominator)
     p = int(x.u * den)
     q = int(x.v * den)
-    g = math.gcd(p, q, den)
-    return p // g, q // g, den // g
+    if not 0 <= p + fl[q] < den:
+        raise DomainError(f"{x} is outside [0, 1)")
+    return p, q, den
 
 
 def expand(x: QPhi | Fraction | int) -> EventuallyPeriodicBits:
     """The digit expansion of x in [0, 1), computed exactly.
 
     The digit map acts on x = (p + q*phi)/den as
-    phi*x = (q + (p+q)*phi)/den; the emitted digit is 1 exactly when
-    phi*x >= 1, i.e. when (q - den) + (p+q)*phi >= 0, and the next state is
-    (q - d*den, p + q).  The denominator never changes, and conjugate
-    coordinates contract toward a fixed window, so orbits are finite.
+    phi*x = (q + (p+q)*phi)/den; the emitted digit d is 1 exactly when
+    phi*x >= 1, and the next state is (q - d*den, p + q).  The denominator
+    never changes, and conjugate coordinates contract toward a fixed
+    window, so orbits are finite.  The walk keeps the integer pair
+    (u, v) = (q, p + q), which fixes the state: d = 1 exactly when
+    u + floor(phi*v) >= den (``_PhiFloors``), and the next pair is
+    (v, u + v - den*d).
 
     States are keyed exactly, so the first revisited state splits the digit
     stream into the minimal preperiod and the primitive period (two
@@ -113,19 +138,21 @@ def expand(x: QPhi | Fraction | int) -> EventuallyPeriodicBits:
     states, since the state is determined by the remaining value).  The
     split is returned as it is; ``EventuallyPeriodicBits`` checks both.
     """
-    from .qphi import sign_of
-    p, q, den = _unit_interval_pair(x)
+    fl = _PhiFloors()
+    p, q, den = _unit_interval_pair(x, fl)
     seen: dict[tuple[int, int], int] = {}
-    digits: list[int] = []
-    state = (p, q)
-    while state not in seen:
-        seen[state] = len(digits)
-        p, q = state
-        d = 1 if sign_of(q - den, p + q) >= 0 else 0
-        digits.append(d)
-        state = (q - den * d, p + q)
-    pre_len = seen[state]
-    word = "".join("1" if d else "0" for d in digits)
+    digits = bytearray()
+    u, v = q, p + q
+    while (u, v) not in seen:
+        seen[u, v] = len(digits)
+        if u + fl[v] >= den:
+            digits.append(49)  # "1"
+            u, v = v, u + v - den
+        else:
+            digits.append(48)  # "0"
+            u, v = v, u + v
+    pre_len = seen[u, v]
+    word = digits.decode()
     try:
         return EventuallyPeriodicBits(word[:pre_len], word[pre_len:])
     except DomainError as exc:

@@ -58,8 +58,8 @@ _VERIFY_WIDTH_MAX = 2_000
 _PISANO_M_MAX = 20_000_000
 
 # Limit of basephi's common denominator D.  The orbit keeps one state per
-# digit, about pi(D) <= 6D of them at some 220 bytes each; the worst D
-# under the limit, 2*5^8, ends in about 7 s and 1 GB.
+# digit, about pi(D) <= 6D of them at some 180 bytes each with the floor
+# memo; the worst D under the limit, 2*5^8, ends in about 10 s and 840 MB.
 _BASEPHI_DEN_MAX = 1_000_000
 
 # Limit of a for pattern, and for verify without --spec: both synthesize.
@@ -195,22 +195,17 @@ def cmd_zeckendorf(args: argparse.Namespace) -> int:
 
 
 def cmd_basephi(args: argparse.Namespace) -> int:
-    from fractions import Fraction
     from .qphi import QPhi, parse_qphi
-    if args.v is None and "phi" in args.u:
-        x = parse_qphi(args.u)
-    else:
-        try:
-            u = Fraction(args.u)
-            v = Fraction(args.v) if args.v is not None else Fraction(0)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"not a rational: {exc}") from exc
-        x = QPhi(u, v)
+    x = parse_qphi(args.u)
+    if args.v is not None:
+        v = parse_qphi(args.v)
+        if x.v or v.v:
+            raise DomainError("u and v must be rationals when v is given")
+        x = QPhi(x.u, v.u)
     den = math.lcm(x.u.denominator, x.v.denominator)
     if den > _BASEPHI_DEN_MAX:
-        raise DomainError(
-            f"the common denominator must be <= {_BASEPHI_DEN_MAX}, got {den}"
-        )
+        # Not named: den may be past the int/str conversion limit.
+        raise DomainError(f"the common denominator must be <= {_BASEPHI_DEN_MAX}")
     bits = expand(x)
     if args.json:
         _print_json(

@@ -83,7 +83,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .bigfib import _fib_table, fib_residues
-from .basephi import EventuallyPeriodicBits
+from .basephi import EventuallyPeriodicBits, _PhiFloors
 from .errors import DomainError, InvalidRep, NotCoprime, SynthesisError
 from .inverse import _certificate, _oracle_walk, inverse_oracle
 from .zeckendorf import ZeckendorfRep, decode, encode, normalize_index_one
@@ -226,49 +226,28 @@ def _exact_remainder(value: int, n: int, i0: int, period: str, fibs: list[int]) 
     return value - sum(compress(fibs[n - 1 : i0 - 1 : -1], _bits(period[: n - i0])))
 
 
-class _PhiFloors(dict):
-    """floor(phi*v) for an int v, computed with ``isqrt`` on first use and kept.
-
-    With s = isqrt(5 v^2), phi*v = (v + sqrt(5 v^2))/2 for v >= 0 and
-    (v - sqrt(5 v^2))/2 for v < 0.  sqrt(5 v^2) is irrational for v != 0
-    and lies in (s, s + 1), so the floor is (v + s) // 2 and
-    (v - s - 1) // 2; for v = 0 both read 0.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, v: int) -> int:
-        s = math.isqrt(5 * v * v)
-        f = self[v] = (v + s) // 2 if v >= 0 else (v - s - 1) // 2
-        return f
-
-
 def _orbit(a: int, b: int, steps: int, fl: _PhiFloors) -> tuple[str, list[int]]:
     """Walk the digit orbit of b/a from (b, 0) for at most min(steps, 6a) steps.
 
     Returns the digit word of the L steps walked and the list
     qs = [q_0, ..., q_(L+1)] of the q parts of the orbit states
-    (p_j + q_j*phi)/a.  Each step is the digit map of ``expand`` with
-    den = a (b/a is reduced, as b is a unit mod a): the digit d_j is 1
-    exactly when (q_j - a) + (p_j + q_j)*phi >= 0, and the next state is
-    (q_j - a*d_j, p_j + q_j).  So q_(j+1) = p_j + q_j, and one int per
-    step keeps the whole orbit: state j is (p_j, q_j) = (q_(j+1) - q_j,
-    q_j).  The walk runs on the pair (q_j, q_(j+1)), from (0, b), with
-    q_(j+2) = q_(j+1) + q_j - a*d_j, and stops early when it is back at
-    (b, 0), so the walk closed exactly when qs ends in [0, b].
+    (p_j + q_j*phi)/a.  Each step is the step of ``expand`` with den = a
+    (b/a is reduced, as b is a unit mod a) on the pair (q_j, q_(j+1)),
+    from (0, b): d_j = 1 exactly when q_j + floor(phi*q_(j+1)) >= a, and
+    q_(j+2) = q_(j+1) + q_j - a*d_j.  So one int per step keeps the whole
+    orbit: state j is (p_j, q_j) = (q_(j+1) - q_j, q_j).  The walk stops
+    early when it is back at (b, 0), so it closed exactly when qs ends in
+    [0, b].
 
-    The digit test is one lookup in the ``_PhiFloors`` memo ``fl``: with
-    v = q_(j+1), d_j = 1 exactly when q_j + floor(phi*v) >= a.  For
-    v != 0, a - phi*v is irrational, so q_j >= a - phi*v holds for the
-    integer q_j exactly when q_j >= ceil(a - phi*v) = a - floor(phi*v);
-    for v = 0 both tests read q_j >= a.  The memo holds one entry per
-    distinct q the walks reach, so at most min(steps walked, about phi*a)
-    entries: x = (p + q*phi)/a and its conjugate x' = (p + q*psi)/a give
-    q = a(x - x')/sqrt5, and x is in [0, 1) while x' is in (-phi, 1)
-    (module docstring), so q lies in (-a/sqrt5, a*phi^2/sqrt5).  The walk
-    costs time and memory in proportion to its steps: a table over that
-    whole range would cost O(a) even where M, which can be as small as
-    about 2 log_phi a (a = F_k has M = 2k or 4k), is far below a.
+    The floor is one lookup in the ``_PhiFloors`` memo ``fl``, which
+    holds one entry per distinct q the walks reach, so at most
+    min(steps walked, about phi*a) entries: x = (p + q*phi)/a and its
+    conjugate x' = (p + q*psi)/a give q = a(x - x')/sqrt5, and x is in
+    [0, 1) while x' is in (-phi, 1) (module docstring), so q lies in
+    (-a/sqrt5, a*phi^2/sqrt5).  The walk costs time and memory in
+    proportion to its steps: a table over that whole range would cost
+    O(a) even where M, which can be as small as about 2 log_phi a
+    (a = F_k has M = 2k or 4k), is far below a.
 
     A closed walk has length L = M = pi(a).  Mod a the step is the
     Fibonacci step (p, q) -> (q, p + q), so after k steps the state is

@@ -13,6 +13,7 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 
+from .basephi import _PhiFloors
 from .bigfib import fib_pair
 from .errors import DomainError, InternalInvariantViolation
 
@@ -173,20 +174,12 @@ class QPhi:
     # -- floor -----------------------------------------------------------
 
     def floor(self) -> int:
-        """Exact floor, in closed form.
-
-        With d the lcm of the denominators, w = v*d and N = 2u*d + w, the
-        element is (N + w*sqrt5)/(2d).  For w != 0, sqrt(5 w^2) is
-        irrational and lies in (s, s + 1) with s = isqrt(5 w^2), so the
-        floor is (N + s) // 2d for w >= 0 and (N - s - 1) // 2d for w < 0;
-        for w = 0 both read N // 2d.  ``_PhiFloors`` in ``pattern`` uses
-        the same identity on integer coordinates.
+        """Exact floor: with d the lcm of the denominators, the element is
+        (A + B*phi)/d for the ints A = u*d and B = v*d, so its floor is
+        (A + floor(B*phi)) // d, with floor(B*phi) from ``basephi._PhiFloors``.
         """
         d = math.lcm(self.u.denominator, self.v.denominator)
-        w = int(self.v * d)
-        n = int(2 * self.u * d) + w
-        s = math.isqrt(5 * w * w)
-        return (n + s) // (2 * d) if w >= 0 else (n - s - 1) // (2 * d)
+        return (int(self.u * d) + _PhiFloors()[int(self.v * d)]) // d
 
     __floor__ = floor
 
@@ -231,7 +224,7 @@ _TERM_RE = re.compile(
     r"""^\s*
         (?P<sign>[+-]?)\s*
         (?:
-            (?P<coef>\d+(?:/\d+)?)\s*(?:[·*]\s*)?(?P<phi1>phi)?
+            (?P<num>\d+)(?:/(?P<den>\d+))?\s*(?:[·*]\s*)?(?P<phi1>phi)?
           | (?P<phi2>phi)
         )\s*
     """,
@@ -254,9 +247,12 @@ def parse_qphi(text: str) -> QPhi:
             raise DomainError(f"cannot parse Q(phi) literal: {text!r}")
         sign = -1 if m.group("sign") == "-" else 1
         try:
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            coef = Fraction(int(m.group("num") or 1), int(m.group("den") or 1))
         except ZeroDivisionError as exc:
             raise DomainError(f"zero denominator in Q(phi) literal: {text!r}") from exc
+        except ValueError as exc:
+            # int() refuses more digits than the int/str conversion limit.
+            raise DomainError("Q(phi) literal has a coefficient of too many digits") from exc
         if m.group("phi1") or m.group("phi2"):
             v += sign * coef
         else:

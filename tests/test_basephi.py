@@ -1,5 +1,6 @@
 """Tests for base-phi digit expansions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from zeckinv import (
     zeckendorf_from_phi,
 )
 from zeckinv.basephi import _primitive_root
+from zeckinv.qphi import sign_of
 
 HALF = QPhi(Fraction(1, 2), 0)
 
@@ -124,6 +126,56 @@ def test_expand_round_trip_random():
         Fraction(2, 7) + phi_pow(-85),
     ):
         assert eval_closed_form(expand(x)) == x
+
+
+def _sign_of_expansion(x):
+    """(preperiod, period) of x in [0, 1), walked apart from ``expand``.
+
+    The state (p, q) of x = (p + q*phi)/den steps to (q - d*den, p + q),
+    with the digit d decided by ``sign_of`` and each state keyed as a
+    tuple; no floor of phi*v is taken.
+    """
+    den = math.lcm(x.u.denominator, x.v.denominator)
+    state = (int(x.u * den), int(x.v * den))
+    seen = {}
+    digits = []
+    while state not in seen:
+        seen[state] = len(digits)
+        p, q = state
+        d = 1 if sign_of(q - den, p + q) >= 0 else 0
+        digits.append("01"[d])
+        state = (q - den * d, p + q)
+    word = "".join(digits)
+    return word[: seen[state]], word[seen[state] :]
+
+
+def test_expand_matches_a_sign_of_reference():
+    rng = random.Random(107)
+    xs = [
+        QPhi(0),
+        QPhi(-1, 1),  # phi - 1
+        QPhi(Fraction(996, 997)),
+        1 - phi_pow(-40),
+        QPhi(2, -1) - phi_pow(-93),  # 2 - phi is below 1; coordinates past 2^63
+        Fraction(1, 3) + phi_pow(-95),
+        Fraction(3, 7) - phi_pow(-94),
+    ]
+    while len(xs) < 400:
+        den = rng.randint(1, 400)
+        x = QPhi(
+            Fraction(rng.randint(-4 * den, 4 * den), den),
+            Fraction(rng.randint(-3 * den, 3 * den), den),
+        )
+        if x.sign() >= 0 and (x - 1).sign() < 0:
+            xs.append(x)
+    with_pre = negative_q = past_2_63 = 0
+    for x in xs:
+        bits = expand(x)
+        assert (bits.preperiod, bits.period) == _sign_of_expansion(x), x
+        with_pre += bits.preperiod != ""
+        negative_q += x.v < 0
+        past_2_63 += max(abs(x.u.numerator), abs(x.v.numerator)) > 2**63
+    assert with_pre > 100 and negative_q > 100 and past_2_63 == 3
 
 
 def test_expand_rationals_purely_periodic_sample():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -312,6 +313,27 @@ def test_basephi_literal_and_json(capsys):
     code, out = run(capsys, "basephi", "1/2", "--json")
     assert code == 0
     assert json.loads(out) == {"u": "1/2", "v": "0", "pre": "", "period": "010"}
+
+
+def test_basephi_oversized_input_exits_2_with_one_line_at_once(capsys):
+    # A coefficient past int/str's digit limit, exponent forms whose value
+    # would take seconds to build, a common denominator too long to print,
+    # and a phi term where a rational is due: each is one error line, at once.
+    long = "7" * 5000
+    for argv in (
+        ["basephi", f"1/{long}*phi"],
+        ["basephi", "0", f"1/{long}"],
+        ["basephi", "1e-1000000"],
+        ["basephi", "1e3000000"],
+        ["basephi", "1e-30000000"],
+        ["basephi", f"1/1{'0' * 3999}1 + 1/{'7' * 4000}*phi"],
+        ["basephi", "phi", "1"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1, argv[1][:20]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:100]
 
 
 def test_paper_check_failure(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,18 @@ def test_str_and_parse_round_trip():
     for bad in ("", "one + phi", "1 +", "phi phi", "1/0 + phi"):
         with pytest.raises(DomainError):
             parse_qphi(bad)
+
+
+def test_parse_refuses_long_coefficients_and_other_number_forms_at_once():
+    # A coefficient past the int/str conversion limit, and the decimal and
+    # exponent forms, which the grammar (sign, digits, optional /digits)
+    # does not have; 10^-30000000 alone would take seconds to build.
+    long = "7" * 5000
+    for bad in (f"1/{long}*phi", long, f"{long}/3", "1e-30000000", "1e3000000", "0.5"):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            parse_qphi(bad)
+        assert time.perf_counter() - start < 1, bad
 
 
 def test_immutability_and_hash():
