@@ -116,7 +116,8 @@ def _unit_interval_pair(x: QPhi | Fraction | int, fl: _PhiFloors) -> tuple[int, 
     p = int(x.u * den)
     q = int(x.v * den)
     if not 0 <= p + fl[q] < den:
-        raise DomainError(f"{x} is outside [0, 1)")
+        # No value in the text: x may be past the int/str digit limit.
+        raise DomainError("x is outside [0, 1)")
     return p, q, den
 
 

@@ -249,13 +249,28 @@ def _orbit(a: int, b: int, steps: int, fl: _PhiFloors) -> tuple[str, list[int]]:
     O(a) even where M, which can be as small as about 2 log_phi a
     (a = F_k has M = 2k or 4k), is far below a.
 
-    A closed walk has length L = M = pi(a).  Mod a the step is the
-    Fibonacci step (p, q) -> (q, p + q), so after k steps the state is
+    The walk closes after exactly L = M = pi(a) steps.  Mod a the step is
+    the Fibonacci step (p, q) -> (q, p + q), so after k steps the state is
     b*(F_(k-1), F_k) mod a; b = -F_r^-1 mod a is a unit, so the state is
     back at (b, 0) only if (F_k, F_(k+1)) = (0, 1) mod a, that is only if
-    M | k.  ``synthesize`` checks that the walk closes after M steps, and
-    every cycle of every a in [2, 1000] does (``scripts/period_sweep.py``).
-    As M <= 6a, a walk that has not closed after 6a steps never does.
+    M | k.  It is back after M steps.  Write x_k = (p_k + q_k*phi)/a in
+    [0, 1) for state k, psi = -1/phi and x_k' = (p_k + q_k*psi)/a.  From
+    x_0' = b/a in (0, 1), every state has x_k' in (-phi, 1), and
+    x_k' > -1/phi when x_k >= 1/phi: a 0-digit gives
+    x_(k+1)' = psi*x_k' in (-1/phi, 1), and a 1-digit, taken only when
+    x_k >= 1/phi, gives x_(k+1)' = psi*x_k' - 1 in (-phi, -1/phi) and
+    x_(k+1) = phi*x_k - 1 < 1/phi.  State M is (b, 0) mod a, so
+    x_M = b/a + u with u = s + t*phi for integers s, t; u lies in (-1, 1)
+    and u' = s + t*psi = x_M' - b/a in (-phi - 1, 1).  Then
+    t*sqrt5 = u - u' lies in (-2, phi^2 + 1), so t is 0 or 1:
+    * t = 0 forces s = 0: x_M = x_0, closed;
+    * t = 1, s = -2 gives u' = -phi^2 > -phi - b/a, so b/a > 1: excluded;
+    * t = 1, s = -1 is the state (b - a, a), with x_M = b/a + 1/phi >=
+      1/phi and x_M' = b/a - phi < -1/phi, against the invariant.
+    So the closure rests on no sweep; ``scripts/period_sweep.py`` confirms
+    it for every a in [2, 1000].  ``synthesize`` and ``_inverse_at`` still
+    check it at run time, as a guard on the code; as M <= 6a, a walk that
+    has not closed after 6a steps never does.
 
     A closed word z_1 ... z_M, read over positions M+1 down to 2, is the
     Zeckendorf code of N_b = b (F_(M+2) - 1) / a.  The digit map gives
@@ -263,6 +278,23 @@ def _orbit(a: int, b: int, steps: int, fl: _PhiFloors) -> tuple[str, list[int]]:
     and applying y -> Tr(y / sqrt5), which is Q-linear and sends phi^k to
     F_k, gives x (F_(M+2) - F_2) = sum_j z_j F_(M+2-j).  The word has no
     "11" and uses no position below 2, so by uniqueness it is encode(N_b).
+
+    Conversely, w = encode(N_b) padded to M digits spells b/a.  Shift-down:
+    a Zeckendorf word N = sum d_i F_i (i >= 2) has
+    sum d_i F_(i-1) = floor((N + 1)/phi).  As F_i = phi F_(i-1) + psi^(i-1),
+    N = phi*S + E with S = sum d_i F_(i-1) and E = sum d_i psi^(i-1), a
+    sum of distinct powers psi^e, e >= 1, so
+    -1 = -(phi^-1 + phi^-3 + ...) < E < phi^-2 + phi^-4 + ... = 1/phi,
+    that is S <= (N + 1)/phi < S + 1.  For N = N_b and
+    S_b = x (F_(M+1) - 1), F_(M+2) - phi F_(M+1) = psi^(M+1) gives
+    N_b + 1 - phi*S_b = 1 + x/phi + x psi^(M+1), above 1 - x phi^-(M+1) > 0
+    and below phi, as x (1 + phi^-M) < (1 - 1/a)(1 + 1/a) < 1 by
+    phi^M > a (module docstring for M >= 4; phi^3 > 2 for a = 2).  So
+    floor((N_b + 1)/phi) = S_b = b (F_(M+1) - 1)/a.  Reading the digits
+    z_1 ... z_M of w with phi^k = F_k phi + F_(k-1) (F_(-1) = 1),
+        sum_j z_j phi^(M-j) = (N_b - S_b) phi + (2 S_b - N_b)
+                            = x (F_M phi + F_(M-1) - 1) = x (phi^M - 1),
+    so 0.(w)^inf = x (phi^M - 1) / (phi^M - 1) = b/a.
     """
     digits = bytearray(b"0") * min(steps, 6 * a)
     qs = [0, b]
@@ -464,11 +496,11 @@ def _assemble(n: int, i0: int, per: str, word: str) -> ZeckendorfRep:
     blocks than 1-offsets a comprehension walks the grid, one step per
     index; with more, one ``range`` per 1-offset is interleaved by ``zip``
     in C, so no more objects are built than there are blocks.  The
-    partial top block and the tail word follow.  The 1-offsets of the
-    period (needed only when there is a full block), of the partial block
-    and of the tail word each come from ``compress`` over the word's
-    digits, so the cost is O(number of indices) plus C-level passes of
-    O(L_r + i0).
+    partial top block (positions base down to i0) and the tail word
+    (i0-1 down to 1) are one run, emitted by one ``compress`` over their
+    joined digits; the period's 1-offsets, needed only when there is a
+    full block, come from ``compress`` too.  The cost is O(number of
+    indices) plus C-level passes of O(L_r + i0).
     """
     lr = len(per)
     bits = _bits(per)
@@ -491,9 +523,7 @@ def _assemble(n: int, i0: int, per: str, word: str) -> ZeckendorfRep:
                 zip(*[range(n - 1 - o, base - o, -lr) for o in ones])
             )
         )
-    indices.extend(compress(range(base, base - rem, -1), bits[:rem]))
-    # Tail word: character j corresponds to position i0 - 1 - j.
-    indices.extend(compress(range(i0 - 1, 0, -1), _bits(word)))
+    indices.extend(compress(range(base, 0, -1), bits[:rem] + _bits(word)))
 
     if word and word[-1] == "1":
         # Position 1 is in use (never produced by greedy extraction, but a

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .bigfib import _fib_table
+from .bigfib import _fib_table, fib_pair
 from .errors import DomainError, InvalidRep
 
 __all__ = [
@@ -39,15 +39,10 @@ _LEAF_PAIRS = [_FIBS[j] | _FIBS[j + 1] << _FIELD for j in range(_LEAF)]
 def _split(level: int) -> tuple[int, int]:
     """(F_(k-1), F_k) for the split width k = _LEAF * 2**level of decode.
 
-    Each level doubles the one below, (F_(k-1), F_k) -> (F_(2k-1), F_(2k)),
-    so an entry depends on its level alone and is computed once per process.
-    The levels kept hold 1.4 to 2.8 bits per position of the largest top
-    index decoded so far (22 KiB at 10^5).
+    Cached per level: the levels kept hold 1.4 to 2.8 bits per position
+    of the largest top index decoded so far (22 KiB at 10^5).
     """
-    if level == 0:
-        return _FIBS[_LEAF - 1], _FIBS[_LEAF]
-    y, x = _split(level - 1)
-    return y * y + x * x, x * (x + 2 * y)
+    return fib_pair((_LEAF << level) - 1)
 
 
 def _check_indices(indices: tuple[int, ...], lowest: int) -> None:
@@ -152,14 +147,13 @@ def decode(rep: ZeckendorfRep) -> int:
         A = A_lo + x B_hi + y A_hi,
         B = B_lo + (x + y)(A_hi + B_hi) - y A_hi.
 
-    Levels are joined while more than two blocks remain.  The root is
-    based at position 0, so its A is the value, and the lowest block of
-    every level lies on the root's low edge: it is joined for A alone, two
-    products, and so is the root.  The pair (F_(k-1), F_k) of each split
-    width is computed once per level per process (_split), so for top index
-    n the cost is O(M(n) log n), M(n) the cost of multiplying n-bit
-    integers, plus one table addition per index and one store per leaf
-    reached; adding F_i position by position would cost Theta(n^2).
+    Levels are joined until one block, the root, remains.  It is based at
+    position 0, so its A is the value, and the lowest block of every level
+    lies on its low edge: it is joined for A alone, two products.  Each
+    split width's (F_(k-1), F_k) is one cached ``fib_pair`` (_split), so
+    for top index n the cost is O(M(n) log n), M(n) the cost of multiplying
+    n-bit integers, plus one table addition per index and one store per
+    leaf reached; adding F_i position by position would cost Theta(n^2).
     """
     indices = rep.indices
     canonical = False
@@ -191,7 +185,7 @@ def decode(rep: ZeckendorfRep) -> int:
     low = (1 << _FIELD) - 1
     pairs = [(s & low, s >> _FIELD) for s in sums]
     level = 0
-    while len(pairs) > 2:
+    while len(pairs) > 1:
         y, x = _split(level)
         s = x + y
         (a0, _), (a1, b1) = pairs[0], pairs[1]
@@ -203,10 +197,6 @@ def decode(rep: ZeckendorfRep) -> int:
             joined.append(pairs[-1])
         pairs = joined
         level += 1
-    if len(pairs) == 2:
-        y, x = _split(level)
-        (a0, _), (a1, b1) = pairs
-        return a0 + x * b1 + y * a1
     return pairs[0][0]
 
 

@@ -102,6 +102,9 @@ def test_expand_domain():
         expand(Fraction(-1, 7))
     with pytest.raises(DomainError):
         expand(PHI)
+    # Past the int/str digit limit the error text still carries no value.
+    with pytest.raises(DomainError):
+        expand(phi_pow(30000))
 
 
 def test_expand_round_trip_random():

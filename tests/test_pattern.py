@@ -394,7 +394,9 @@ def test_z_periods_match_digit_expansions():
 def test_period_words_are_zeckendorf_codes():
     # Each digit period, read as a word over positions M+1 down to 2, is
     # the Zeckendorf code of N_b = b (F_(M+2) - 1) / a (see _orbit); the
-    # expected words come from encode alone.
+    # expected words come from encode alone.  The converse in _orbit's
+    # docstring rests on floor((N_b + 1)/phi) = b (F_(M+1) - 1) / a.
+    fl = _PhiFloors()
     words = 0
     for a in range(2, 201):
         spec = synthesize(a)
@@ -403,8 +405,20 @@ def test_period_words_are_zeckendorf_codes():
             n_b, rest = divmod(zc.b * scale, a)
             assert rest == 0, (a, zc.b)
             assert zc.period == to_bit_string(encode(n_b)).rjust(spec.M, "0"), (a, zc.b)
+            assert (fl[n_b + 1] - (n_b + 1)) * a == zc.b * (fib(spec.M + 1) - 1), (a, zc.b)
             words += 1
     assert words == 6663
+
+
+def test_shift_down_of_a_zeckendorf_word_is_a_floor():
+    # sum d_i F_(i-1) = floor((N + 1)/phi) for N = sum d_i F_i in Zeckendorf
+    # form (_orbit's docstring), with floor(v/phi) = floor(phi*v) - v.
+    rng = random.Random(26)
+    fibs = _fib_table(2200)  # F_2200 > 2**1500: every index of n is in it
+    fl = _PhiFloors()
+    for _ in range(3000):
+        n = rng.getrandbits(rng.randint(1, 1500)) or 1
+        assert sum(fibs[i - 1] for i in encode(n).indices) == fl[n + 1] - (n + 1), n
 
 
 class _Floors(_PhiFloors):
