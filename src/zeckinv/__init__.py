@@ -21,8 +21,12 @@ from .zeckendorf import *
 
 __version__ = "0.1.0"
 
-# The public names of ``qphi``, which is imported on first use.
-_QPHI_NAMES = ("QPhi", "PHI", "phi_pow", "sqrt5", "parse_qphi")
+# The public names of ``qphi``, which is imported on first use: the field
+# itself and the base-phi oracles that compute in it.
+_QPHI_NAMES = (
+    "QPhi", "PHI", "phi_pow", "sqrt5", "parse_qphi",
+    "eval_closed_form", "digit_at", "zeckendorf_from_phi", "splice_check",
+)
 
 
 def __getattr__(name: str):

@@ -9,61 +9,71 @@ Each digit is one test on integers, u + floor(phi*v) >= den, with the
 floor kept in ``_PhiFloors``: the package's one floor(phi*v), which the
 orbit walk of ``pattern`` and ``QPhi.floor`` read too.
 
-The functions that compute in Q(phi) import ``qphi`` when called, so
-importing this module for ``EventuallyPeriodicBits`` does not load it.
+``expand`` imports ``qphi`` when called, so importing this module for
+``EventuallyPeriodicBits`` does not load it.  The oracles that check
+expansions by computing in Q(phi) (``eval_closed_form``, ``digit_at``,
+``zeckendorf_from_phi``, ``splice_check``) live in ``qphi``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import (
-    DomainError,
-    InternalInvariantViolation,
-    InvalidRep,
-    PreconditionError,
-)
-from .zeckendorf import ZeckendorfRep, normalize_index_one
+from .errors import DomainError, InternalInvariantViolation
 
-__all__ = [
-    "EventuallyPeriodicBits",
-    "expand",
-    "eval_closed_form",
-    "digit_at",
-    "zeckendorf_from_phi",
-    "splice_check",
-]
+__all__ = ["EventuallyPeriodicBits", "expand"]
 
 
-@dataclass(frozen=True)
 class EventuallyPeriodicBits:
     """A digit sequence: finite preperiod followed by a repeating period.
 
     Canonical form: the preperiod is as short as possible and the period
     is primitive.  The sequence must stay inside the valid digit class —
     no "11" anywhere (including the junction and the cyclic wrap) and a
-    tail that is not the alternating 0,1,0,1,...
+    tail that is not the alternating 0,1,0,1,...  Instances are immutable
+    and compare and hash by their two words.
     """
 
-    preperiod: str
-    period: str
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self) -> None:
-        if not self.period:
+    def __init__(self, preperiod: str, period: str) -> None:
+        if not period:
             raise DomainError("period must be nonempty")
-        for word in (self.preperiod, self.period):
+        for word in (preperiod, period):
             if word.strip("01"):
                 raise DomainError(f"not a bit word: {word!r}")
         # Junction and wrap-around are covered by scanning pre + per + per.
-        if "11" in self.preperiod + self.period + self.period:
+        if "11" in preperiod + period + period:
             raise DomainError("consecutive 1s in digit sequence")
-        if _primitive_root(self.period) != self.period:
-            raise DomainError(f"period {self.period!r} is not primitive")
-        if self.preperiod and self.preperiod[-1] == self.period[-1]:
+        if _primitive_root(period) != period:
+            raise DomainError(f"period {period!r} is not primitive")
+        if preperiod and preperiod[-1] == period[-1]:
             raise DomainError("preperiod is not minimal")
-        if self.period in ("01", "10"):
+        if period in ("01", "10"):
             raise DomainError("tail is ultimately alternating 0,1,0,1,...")
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("EventuallyPeriodicBits is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("EventuallyPeriodicBits is immutable")
+
+    def __reduce__(self):
+        # Copies and unpickling go through __init__, so they are checked too.
+        return self.__class__, (self.preperiod, self.period)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.preperiod == other.preperiod and self.period == other.period
+
+    def __hash__(self) -> int:
+        return hash((self.preperiod, self.period))
+
+    def __repr__(self) -> str:
+        return f"EventuallyPeriodicBits(preperiod={self.preperiod!r}, period={self.period!r})"
 
     def render(self) -> str:
         """Text form "pre|period", e.g. "|010" or "1|0"."""
@@ -160,116 +170,3 @@ def expand(x: QPhi | Fraction | int) -> EventuallyPeriodicBits:
         raise InternalInvariantViolation(
             f"digit stream of {x} left the valid class: {exc}"
         ) from exc
-
-
-def eval_closed_form(bits: EventuallyPeriodicBits) -> QPhi:
-    """Exact value sum d_i phi^-i of an eventually periodic digit sequence.
-
-    Geometric series: value = A + phi^-L * B / (1 - phi^-rho) where A and B
-    are the finite digit polynomials of the preperiod (length L) and the
-    period (length rho).
-    """
-    from .qphi import QPhi, phi_pow
-
-    def horner(word: str) -> QPhi:
-        # Digits are integers and 1/phi = -1 + phi, so the whole loop stays
-        # in integer coordinates: (u + v*phi)(-1 + phi) = (v - u) + u*phi.
-        u = v = 0
-        for ch in reversed(word):
-            if ch == "1":
-                u += 1
-            u, v = v - u, u
-        return QPhi(u, v)
-
-    a_part = horner(bits.preperiod)
-    b_part = horner(bits.period)
-    rho = len(bits.period)
-    length = len(bits.preperiod)
-    return a_part + phi_pow(-length) * b_part / (QPhi(1) - phi_pow(-rho))
-
-
-def digit_at(bits: EventuallyPeriodicBits, i: int) -> int:
-    """The i-th digit (i >= 1), resolved through preperiod then period."""
-    if i < 1:
-        raise DomainError(f"digit index must be >= 1, got {i}")
-    pre = bits.preperiod
-    if i <= len(pre):
-        return 1 if pre[i - 1] == "1" else 0
-    j = (i - len(pre) - 1) % len(bits.period)
-    return 1 if bits.period[j] == "1" else 0
-
-
-def zeckendorf_from_phi(n: int) -> ZeckendorfRep:
-    """Zeckendorf representation obtained through the digit expansion.
-
-    Chooses the smallest m >= 2 with x = sqrt5 * n * phi^-m in [0, 1);
-    the first m digits of ``expand(x)`` then spell the representation from
-    the top: index i carries digit d_{m-i}.  The m-th digit is always 0,
-    which is asserted, and ``expand`` refuses a stream with "11"; a
-    failure means an arithmetic bug rather than a bad input.
-    """
-    from .qphi import phi_pow, sign_of, sqrt5
-    if n < 1:
-        raise DomainError(f"need a positive integer, got {n}")
-    # Smallest m >= 2 with phi^m > sqrt5 * n, tracked via (F_{m-1}, F_m):
-    # phi^m - sqrt5*n = (F_{m-1} + n) + (F_m - 2n) * phi.
-    m, f_m1, f_m = 2, 1, 1
-    while sign_of(f_m1 + n, f_m - 2 * n) <= 0:
-        m, f_m1, f_m = m + 1, f_m, f_m1 + f_m
-    bits = expand(sqrt5() * n * phi_pow(-m))
-    if digit_at(bits, m) != 0:
-        raise InternalInvariantViolation(
-            f"digit m={m} of sqrt5*{n}*phi^-{m} is not 0"
-        )
-    indices = [i for i in range(1, m) if digit_at(bits, m - i)]
-    try:
-        return normalize_index_one(indices)
-    except InvalidRep as exc:
-        raise InternalInvariantViolation(str(exc)) from exc
-
-
-def splice_check(
-    x: QPhi | Fraction | int,
-    y: QPhi | Fraction | int,
-    m: int,
-    lam: int,
-) -> bool:
-    """Digit-splicing test for v = x + y*phi^-m.
-
-    Requires lam + 2 <= m and digits lam, lam+1 of x to vanish.  Builds
-    w = (x stripped of its first lam+1 digits) + y*phi^-m and checks that
-    v's digits agree with x's up to lam and with w's beyond lam, compared
-    over each side's preperiod plus three periods.  A property-test
-    oracle, not a production path.
-    """
-    from fractions import Fraction
-    from .qphi import QPhi, phi_pow
-    if lam < 1 or m < 1 or lam + 2 > m:
-        raise PreconditionError(f"need 1 <= lam and lam + 2 <= m, got lam={lam}, m={m}")
-    if isinstance(x, (int, Fraction)):
-        x = QPhi(x)
-    if isinstance(y, (int, Fraction)):
-        y = QPhi(y)
-    ex = expand(x)
-    if digit_at(ex, lam) != 0 or digit_at(ex, lam + 1) != 0:
-        raise PreconditionError(f"digits {lam}, {lam + 1} of {x} must both be 0")
-    expand(y)  # domain check: y in [0, 1)
-
-    shift = y * phi_pow(-m)
-    v = x + shift
-    head = QPhi(0)
-    for i in range(1, lam + 2):
-        if digit_at(ex, i):
-            head = head + phi_pow(-i)
-    w = (x - head) + shift
-
-    ev = expand(v)
-    ew = expand(w)
-    horizon = max(
-        len(e.preperiod) + 3 * len(e.period) for e in (ex, ev, ew)
-    ) + m + lam
-    for i in range(1, horizon + 1):
-        want = digit_at(ex, i) if i <= lam else digit_at(ew, i)
-        if digit_at(ev, i) != want:
-            return False
-    return True

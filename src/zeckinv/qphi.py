@@ -4,6 +4,12 @@ Elements are stored as u + v*phi with rational u, v.  This basis is the
 right one for the golden-ratio digit map: multiplying by phi sends the
 coordinate pair (u, v) to (v, u+v), so denominators never grow and orbit
 state spaces stay finite.  All comparisons are exact; no floating point.
+
+The oracles that check ``basephi.expand`` by computing in the field
+(``eval_closed_form``, ``digit_at``, ``zeckendorf_from_phi``,
+``splice_check``) live here too, so that importing the package, which
+loads ``basephi``, compiles none of them.  The package imports this module
+on first use of one of its names.
 """
 
 from __future__ import annotations
@@ -13,11 +19,15 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 
-from .basephi import _PhiFloors
+from .basephi import EventuallyPeriodicBits, _PhiFloors, expand
 from .bigfib import fib_pair
-from .errors import DomainError, InternalInvariantViolation
+from .errors import DomainError, InternalInvariantViolation, InvalidRep, PreconditionError
+from .zeckendorf import ZeckendorfRep, normalize_index_one
 
-__all__ = ["QPhi", "sign_of", "phi_pow", "sqrt5", "PHI", "parse_qphi"]
+__all__ = [
+    "QPhi", "sign_of", "phi_pow", "sqrt5", "PHI", "parse_qphi",
+    "eval_closed_form", "digit_at", "zeckendorf_from_phi", "splice_check",
+]
 
 _RationalLike = int | Fraction
 
@@ -260,3 +270,116 @@ def parse_qphi(text: str) -> QPhi:
         pos += m.end()
         first = False
     return QPhi(u, v)
+
+
+# --------------------------------------------------------------------------
+# base-phi oracles
+
+
+def eval_closed_form(bits: EventuallyPeriodicBits) -> QPhi:
+    """Exact value sum d_i phi^-i of an eventually periodic digit sequence.
+
+    Geometric series: value = A + phi^-L * B / (1 - phi^-rho) where A and B
+    are the finite digit polynomials of the preperiod (length L) and the
+    period (length rho).
+    """
+    def horner(word: str) -> QPhi:
+        # Digits are integers and 1/phi = -1 + phi, so the whole loop stays
+        # in integer coordinates: (u + v*phi)(-1 + phi) = (v - u) + u*phi.
+        u = v = 0
+        for ch in reversed(word):
+            if ch == "1":
+                u += 1
+            u, v = v - u, u
+        return QPhi(u, v)
+
+    a_part = horner(bits.preperiod)
+    b_part = horner(bits.period)
+    rho = len(bits.period)
+    length = len(bits.preperiod)
+    return a_part + phi_pow(-length) * b_part / (QPhi(1) - phi_pow(-rho))
+
+
+def digit_at(bits: EventuallyPeriodicBits, i: int) -> int:
+    """The i-th digit (i >= 1), resolved through preperiod then period."""
+    if i < 1:
+        raise DomainError(f"digit index must be >= 1, got {i}")
+    pre = bits.preperiod
+    if i <= len(pre):
+        return 1 if pre[i - 1] == "1" else 0
+    j = (i - len(pre) - 1) % len(bits.period)
+    return 1 if bits.period[j] == "1" else 0
+
+
+def zeckendorf_from_phi(n: int) -> ZeckendorfRep:
+    """Zeckendorf representation obtained through the digit expansion.
+
+    Chooses the smallest m >= 2 with x = sqrt5 * n * phi^-m in [0, 1);
+    the first m digits of ``expand(x)`` then spell the representation from
+    the top: index i carries digit d_{m-i}.  The m-th digit is always 0,
+    which is asserted, and ``expand`` refuses a stream with "11"; a
+    failure means an arithmetic bug rather than a bad input.
+    """
+    if n < 1:
+        raise DomainError(f"need a positive integer, got {n}")
+    # Smallest m >= 2 with phi^m > sqrt5 * n, tracked via (F_{m-1}, F_m):
+    # phi^m - sqrt5*n = (F_{m-1} + n) + (F_m - 2n) * phi.
+    m, f_m1, f_m = 2, 1, 1
+    while sign_of(f_m1 + n, f_m - 2 * n) <= 0:
+        m, f_m1, f_m = m + 1, f_m, f_m1 + f_m
+    bits = expand(sqrt5() * n * phi_pow(-m))
+    if digit_at(bits, m) != 0:
+        raise InternalInvariantViolation(
+            f"digit m={m} of sqrt5*{n}*phi^-{m} is not 0"
+        )
+    indices = [i for i in range(1, m) if digit_at(bits, m - i)]
+    try:
+        return normalize_index_one(indices)
+    except InvalidRep as exc:
+        raise InternalInvariantViolation(str(exc)) from exc
+
+
+def splice_check(
+    x: QPhi | Fraction | int,
+    y: QPhi | Fraction | int,
+    m: int,
+    lam: int,
+) -> bool:
+    """Digit-splicing test for v = x + y*phi^-m.
+
+    Requires lam + 2 <= m and digits lam, lam+1 of x to vanish.  Builds
+    w = (x stripped of its first lam+1 digits) + y*phi^-m and checks that
+    v's digits agree with x's up to lam and with w's beyond lam, compared
+    over each side's preperiod plus three periods.  A property-test
+    oracle, not a production path.
+    """
+    if lam < 1 or m < 1 or lam + 2 > m:
+        raise PreconditionError(f"need 1 <= lam and lam + 2 <= m, got lam={lam}, m={m}")
+    if isinstance(x, (int, Fraction)):
+        x = QPhi(x)
+    if isinstance(y, (int, Fraction)):
+        y = QPhi(y)
+    ex = expand(x)
+    if digit_at(ex, lam) != 0 or digit_at(ex, lam + 1) != 0:
+        # No value in the text: x may be past the int/str digit limit.
+        raise PreconditionError(f"digits {lam}, {lam + 1} of x must both be 0")
+    expand(y)  # domain check: y in [0, 1)
+
+    shift = y * phi_pow(-m)
+    v = x + shift
+    head = QPhi(0)
+    for i in range(1, lam + 2):
+        if digit_at(ex, i):
+            head = head + phi_pow(-i)
+    w = (x - head) + shift
+
+    ev = expand(v)
+    ew = expand(w)
+    horizon = max(
+        len(e.preperiod) + 3 * len(e.period) for e in (ex, ev, ew)
+    ) + m + lam
+    for i in range(1, horizon + 1):
+        want = digit_at(ex, i) if i <= lam else digit_at(ew, i)
+        if digit_at(ev, i) != want:
+            return False
+    return True

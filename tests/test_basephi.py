@@ -1,7 +1,10 @@
 """Tests for base-phi digit expansions."""
 
+import copy
 import math
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -51,6 +54,43 @@ def test_bits_type_validation():
         EventuallyPeriodicBits("", "10")
     assert EventuallyPeriodicBits("", "010").render() == "|010"
     assert EventuallyPeriodicBits("1", "0").render() == "1|0"
+
+
+def test_bits_is_an_immutable_record():
+    bits = EventuallyPeriodicBits("", "010")
+    for name in ("preperiod", "period", "other"):
+        with pytest.raises(AttributeError):
+            setattr(bits, name, "0")
+        with pytest.raises(AttributeError):
+            delattr(bits, name)
+    assert (bits.preperiod, bits.period) == ("", "010")
+    same = EventuallyPeriodicBits(preperiod="", period="010")
+    assert same == bits and same is not bits and hash(same) == hash(bits)
+    assert len({bits, same, EventuallyPeriodicBits("1", "0")}) == 2
+    assert bits != EventuallyPeriodicBits("1", "0")
+    assert bits != ("", "010")
+    assert repr(bits) == "EventuallyPeriodicBits(preperiod='', period='010')"
+    assert str(bits) == bits.render() == "|010"
+    for clone in (copy.copy(bits), copy.deepcopy(bits), pickle.loads(pickle.dumps(bits))):
+        assert clone == bits and type(clone) is EventuallyPeriodicBits
+
+
+def test_every_way_of_building_bits_refuses_a_bad_word():
+    good = EventuallyPeriodicBits("", "010")
+    # Protocol 0 writes each word as a text line, so the good period can be
+    # swapped for a bad one in the stored bytes.
+    stored = pickle.dumps(good, protocol=0)
+    assert stored.count(b"V010\n") == 1
+    builders = [
+        lambda: EventuallyPeriodicBits("", "11"),
+        lambda: EventuallyPeriodicBits(preperiod="", period="11"),
+        lambda: pickle.loads(stored.replace(b"V010\n", b"V11\n")),
+    ]
+    if hasattr(good, "_make"):  # a namedtuple's builders skip __new__
+        builders += [lambda: good._make(("", "11")), lambda: good._replace(period="11")]
+    for build in builders:
+        with pytest.raises(DomainError, match="consecutive 1s"):
+            build()
 
 
 @pytest.mark.parametrize("word", ["0x0", "01 0", "0\n1", "010\u00b9", "0١0"])
@@ -255,6 +295,25 @@ def test_splice_precondition_errors():
         splice_check(HALF, HALF, 4, 3)  # lam + 2 > m
     with pytest.raises(PreconditionError):
         splice_check(HALF, HALF, 9, 2)  # digit 2 of 1/2 is 1
+
+
+def test_splice_precondition_error_names_no_value():
+    # x's coordinates have more digits than int/str conversion allows, so an
+    # error text that formats x would raise ValueError in its place.  The
+    # limit is lowered to its minimum, 640 digits, so that x = 1/2 + phi^-3200
+    # (669-digit coordinates, about 3,200 digits of preperiod) is past it and
+    # expands in well under a second; at the default limit the first such
+    # phi^-k has k near 20,600 and expands in seconds.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        x = HALF + phi_pow(-3200)
+        with pytest.raises(ValueError, match="limit"):
+            str(x)
+        with pytest.raises(PreconditionError, match=r"^digits 1, 2 of x must both be 0$"):
+            splice_check(x, 0, 5, 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_splice_randomized():

@@ -29,26 +29,39 @@ def _fresh(code: str) -> object:
 
 
 def test_cli_import_loads_the_traced_layers_and_no_qphi():
-    added = _fresh(
-        "import json, sys\n"
+    added, basephi_names, dataclasses_ = _fresh(
+        "import dataclasses, json, sys\n"
         "before = set(sys.modules)\n"
         "import zeckinv.cli\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "ours = [m for k, m in sys.modules.items() if k.startswith('zeckinv.')]\n"
+        "found = {f'{v.__module__}.{v.__qualname__}' for m in ours for v in vars(m).values()\n"
+        "         if isinstance(v, type) and dataclasses.is_dataclass(v)}\n"
+        "print(json.dumps([sorted(set(sys.modules) - before),\n"
+        "                  sorted(vars(sys.modules['zeckinv.basephi'])), sorted(found)]))\n"
     )
     for name in ("zeckinv.qphi", "fractions", "decimal"):
         assert name not in added
     for layer in TRACED_LAYERS:
         assert f"zeckinv.{layer}" in added
+    # The oracles are compiled with qphi, not on every import.
+    for name in ("eval_closed_form", "digit_at", "zeckendorf_from_phi", "splice_check"):
+        assert name not in basephi_names
+    # Applying @dataclass costs about 1 ms per class at import.  PatternSpec
+    # stays one because callers build variants with dataclasses.replace.
+    assert dataclasses_ == ["zeckinv.pattern.PatternSpec"]
 
 
 def test_reading_a_qphi_name_loads_qphi():
-    assert _fresh(
-        "import json, sys, zeckinv\n"
-        "loaded = ['zeckinv.qphi' in sys.modules]\n"
-        "zeckinv.QPhi\n"
-        "loaded.append('zeckinv.qphi' in sys.modules)\n"
-        "print(json.dumps(loaded))\n"
-    ) == [False, True]
+    # One new interpreter per name, so that each read is the first.
+    for name in zeckinv._QPHI_NAMES:
+        assert _fresh(
+            "import json, sys, zeckinv\n"
+            "loaded = ['zeckinv.qphi' in sys.modules]\n"
+            f"obj = zeckinv.{name}\n"
+            "loaded.append('zeckinv.qphi' in sys.modules)\n"
+            f"loaded.append(obj is sys.modules['zeckinv.qphi'].{name})\n"
+            "print(json.dumps(loaded))\n"
+        ) == [False, True, True], name
 
 
 def test_every_public_name_is_listed_and_served():
