@@ -47,9 +47,12 @@ __all__ = ["main"]
 
 _WRITE_PIECE = 1 << 16  # characters per write of a long output
 
-# Limits of verify --n-range.  A check at n costs about n^1.5 (decode and
-# the oracle's F_n), so a full window at the top, [98001, 100000], ends in
-# about 13 s on a 2-vCPU host.
+# Limits of verify --n-range.  A check at n costs about n^1.5 where verify
+# decodes the whole representation, as for periods longer than 256 digits:
+# a full window at the top, [98001, 100000], took 10.8 s for a = 137
+# (M = 276) in a cold run on a 2-vCPU host.  Where verify sums the full
+# period blocks in closed form, the same window took 4.2-4.4 s for a = 2
+# and 3.0-3.5 s for a = 7, against 9.6-10.2 s decoding every check.
 _VERIFY_N_MAX = 100_000
 _VERIFY_WIDTH_MAX = 2_000
 

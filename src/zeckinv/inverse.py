@@ -7,7 +7,9 @@ outright and inverts by extended Euclid; the two share nothing but the
 fast doubling of ``bigfib`` and so check each other.  The oracle walks a
 window of consecutive n (``_oracle_walk``): one fast doubling to its
 first F_n, then one big-integer addition, one gcd and one ``pow`` per n.
-``inverse_oracle`` is the window of one n.
+It hands out each (F_n, F_(n+1)) it walks with the inverse, so a caller
+that needs them takes no second walk.  ``inverse_oracle`` is the window
+of one n.
 """
 
 from __future__ import annotations
@@ -54,8 +56,11 @@ def inverse_closed(a: int, n: int) -> InverseResult:
     return InverseResult(a=a, n=n, value=numerator // a, b=b)
 
 
-def _oracle_walk(a: int, lo: int, hi: int) -> Iterator[tuple[int, int | None]]:
-    """Yield (gcd(a, F_n), a^-1 mod F_n) for n = lo, ..., hi, in order.
+def _oracle_walk(
+    a: int, lo: int, hi: int
+) -> Iterator[tuple[int, int | None, int, int]]:
+    """Yield (gcd(a, F_n), a^-1 mod F_n, F_n, F_(n+1)) for n = lo, ..., hi,
+    in order.
 
     The inverse is the unique value in [1, F_n - 1] with a*value == 1
     (mod F_n), by extended Euclid (``pow``); it is None when the gcd
@@ -66,7 +71,7 @@ def _oracle_walk(a: int, lo: int, hi: int) -> Iterator[tuple[int, int | None]]:
     f, g = fib_pair(lo)
     for _ in range(lo, hi + 1):
         d = math.gcd(a, f)
-        yield d, (pow(a, -1, f) if d == 1 else None)
+        yield d, (pow(a, -1, f) if d == 1 else None), f, g
         f, g = g, f + g
 
 
@@ -77,7 +82,7 @@ def inverse_oracle(a: int, n: int) -> int:
     the one-n window of ``_oracle_walk``.
     """
     _check_args(a, n)
-    g, value = next(_oracle_walk(a, n, n))
+    g, value, _, _ = next(_oracle_walk(a, n, n))
     if g != 1:
         raise NotCoprime(g, f"gcd({a}, F_{n}) = {g}; no inverse exists")
     return value

@@ -41,7 +41,8 @@ def test_oracle_walk_matches_the_one_n_oracle(a):
     for lo, hi in ((3, 30), (3, 3 + 2 * m + 1), (n0, n0 + 30), (n0, n0 + 2 * m + 1)):
         walked = list(_oracle_walk(a, lo, hi))
         assert len(walked) == hi - lo + 1
-        for n, (g, value) in zip(range(lo, hi + 1), walked):
+        for n, (g, value, f, f1) in zip(range(lo, hi + 1), walked):
+            assert (f, f1) == (fib(n), fib(n + 1)), (a, n)
             assert g == math.gcd(a, fib(n)), (a, n)
             if g == 1:
                 assert value == inverse_oracle(a, n), (a, n)

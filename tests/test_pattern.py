@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zeckinv.pattern
-from zeckinv.bigfib import fib_residues
+from zeckinv.bigfib import fib_pair, fib_residues
 from zeckinv import (
     DomainError,
     EventuallyPeriodicBits,
@@ -32,6 +32,7 @@ from zeckinv import (
     VerificationReport,
     ZClass,
     ZeckendorfRep,
+    decode,
     digit_at,
     encode,
     expand,
@@ -55,6 +56,7 @@ from zeckinv import (
 from zeckinv.cli import _a2_expected_indices
 from zeckinv.inverse import _oracle_walk
 from zeckinv.pattern import (
+    _BLOCKS_FROM,
     _fib_table,
     _greedy_word,
     _i0,
@@ -62,6 +64,8 @@ from zeckinv.pattern import (
     _orbit,
     _pattern_text,
     _PhiFloors,
+    _rep_value,
+    _run_sum,
 )
 from zeckinv.qphi import sign_of
 
@@ -637,8 +641,8 @@ def test_n0_is_one_past_i0():
 
 def _off_by_one_walk(a, lo, hi):
     """The oracle walk with every inverse one too large."""
-    for g, value in _oracle_walk(a, lo, hi):
-        yield g, None if value is None else value + 1
+    for g, value, f, f1 in _oracle_walk(a, lo, hi):
+        yield g, None if value is None else value + 1, f, f1
 
 
 def test_synthesize_cross_checks_tail_values_against_the_oracle(monkeypatch):
@@ -1121,6 +1125,204 @@ def test_verify_skips_exactly_the_n_with_a_gcd_above_one(monkeypatch):
         want = [n for n in range(lo, hi + 1) if math.gcd(spec.a, fib(n)) == 1]
         assert seen == want, (spec.a, lo, hi)
         assert report.checked == len(want), (spec.a, lo, hi)
+
+
+def test_run_sum_matches_direct_summation():
+    # S = F_x + F_(x+P) + ... + F_(n-P) with n = x + N*P, against the sum
+    # itself: both parities of P, N = 0 (an empty sum), and x, and so
+    # x - P, below zero.
+    lo, hi = -62, 200 + 40 * 60 + 1
+    fibs = {0: 0, 1: 1}
+    for k in range(2, hi + 1):
+        fibs[k] = fibs[k - 1] + fibs[k - 2]
+    for k in range(-1, lo - 1, -1):
+        fibs[k] = fibs[k + 2] - fibs[k + 1]
+    for p in range(1, 61):
+        fib_p = (fibs[p], fibs[p + 1])
+        for x in range(-p - 2, 201):
+            fib_x = (fibs[x], fibs[x + 1])
+            direct = 0
+            for n in range(x, x + 41 * p, p):
+                assert _run_sum(p, fib_p, fib_x, (fibs[n], fibs[n + 1])) == direct, (p, x, n)
+                direct += fibs[n]
+
+
+def _decoding_verify(spec, lo, hi):
+    """(checked, mismatches, first_mismatch) of verify's loop as it was
+    before the block sums: every representation is decoded whole."""
+    checked = mismatches = 0
+    first = None
+    for n in range(lo, hi + 1):
+        try:
+            want = inverse_oracle(spec.a, n)
+        except NotCoprime:
+            continue
+        checked += 1
+        rep = None
+        try:
+            rep = zeckinv.pattern.evaluate(spec, n)  # monkeypatched or not
+            ok = decode(rep) == want
+        except (DomainError, InvalidRep):
+            ok = False
+        if not ok:
+            mismatches += 1
+            if first is None:
+                got = () if rep is None else rep.indices
+                first = MismatchDetail(n=n, expected=encode(want).indices, got=got)
+    return checked, mismatches, first
+
+
+def _verify_result(spec, lo, hi):
+    report = verify(spec, lo, hi)
+    return report.checked, report.mismatches, report.first_mismatch
+
+
+def _value_or_invalid(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidRep:
+        return InvalidRep
+
+
+def test_verify_matches_the_decoding_loop_across_the_crossover():
+    # Every canonical spec, over a window whose top indices straddle
+    # _BLOCKS_FROM; periods longer than _LEAF are decoded whole throughout.
+    lo = _BLOCKS_FROM - 16
+    for a in range(2, 121):
+        spec = _spec(a)
+        got = _verify_result(spec, lo, lo + 40)
+        assert got == _decoding_verify(spec, lo, lo + 40), a
+        assert got[1] == 0 and got[0] > 0, a
+
+
+def _blocks(spec, n):
+    """(K, N, K*N) of n's residue: 1s per period, full blocks, block indices."""
+    per = spec.z[n % spec.M].period
+    k, nblocks = per.count("1"), (n - spec.i0) // len(per)
+    return k, nblocks, k * nblocks
+
+
+def _move_in_middle_block(spec, n, idx):
+    # The first index of a middle block one down, or one up where that
+    # keeps the representation canonical.
+    k, nblocks, _ = _blocks(spec, n)
+    j = k * (nblocks // 2)
+    step = -1 if idx[j] - idx[j + 1] > 2 else 1
+    return idx[:j] + (idx[j] + step,) + idx[j + 1 :]
+
+
+def _drop_top_index(spec, n, idx):
+    return idx[1:]
+
+
+def _lower_every_block(spec, n, idx):
+    # The lowest index of every full block one down: the blocks keep their
+    # shape, so the block sum runs, on a wrong top block.
+    k, _, top = _blocks(spec, n)
+    return tuple(i - (t < top and t % k == k - 1) for t, i in enumerate(idx))
+
+
+def _raise_every_block_bottom(spec, n, idx):
+    # With K >= 2, the lowest index of every full block moved up next to
+    # the one above it: the blocks keep their shape but none is canonical.
+    k, _, top = _blocks(spec, n)
+    if k < 2:
+        return idx
+    return tuple(
+        idx[t - 1] - 1 if t < top and t % k == k - 1 else i for t, i in enumerate(idx)
+    )
+
+
+def _shift_blocks_up(spec, n, idx):
+    # Every full block one period higher: the shape holds, but the top
+    # block lies above n - 1 (for a = 127, P = 256, beyond one leaf).
+    _, _, top = _blocks(spec, n)
+    p = len(spec.z[n % spec.M].period)
+    return tuple(i + p for i in idx[:top]) + idx[top:]
+
+
+def _junction_gap_of_one(spec, n, idx):
+    _, _, top = _blocks(spec, n)
+    return idx[:top] + (idx[top - 1] - 1,) + idx[top + 1 :]
+
+
+@pytest.mark.parametrize(
+    "a, damage",
+    [
+        (a, damage)
+        for damage in (
+            _move_in_middle_block,
+            _drop_top_index,
+            _lower_every_block,
+            _junction_gap_of_one,
+        )
+        for a in (2, 7, 11)
+    ]
+    + [(7, _raise_every_block_bottom), (11, _raise_every_block_bottom)]
+    + [(7, _shift_blocks_up), (127, _shift_blocks_up)],
+)
+def test_verify_matches_the_decoding_loop_on_damaged_reps(monkeypatch, a, damage):
+    spec = _spec(a)
+
+    def damaged(spec, n):
+        return ZeckendorfRep(damage(spec, n, evaluate(spec, n).indices), _validate=False)
+
+    monkeypatch.setattr(zeckinv.pattern, "evaluate", damaged)
+    lo = _BLOCKS_FROM + 100
+    got = _verify_result(spec, lo, lo + 30)
+    assert got == _decoding_verify(spec, lo, lo + 30)
+    assert got[1] > 0
+    # Each representation alone: the same value as decode, or InvalidRep.
+    for n in range(lo, lo + 31):
+        if spec.is_admissible(n):
+            rep = damaged(spec, n)
+            assert _value_or_invalid(_rep_value, spec, n, rep, fib_pair(n)) == (
+                _value_or_invalid(decode, rep)
+            ), n
+
+
+def _hand_built_block_specs():
+    """Specs whose damage sits in the period or the tail of residue 1."""
+    spec7 = _spec(7)
+    zc, word = spec7.z[1], spec7.tail[1]
+    return [
+        dataclasses.replace(spec7, z={**spec7.z, 1: ZClass(zc.b, "0" * spec7.M)}),
+        dataclasses.replace(spec7, z={**spec7.z, 1: ZClass(zc.b, zc.period[:-1])}),
+        dataclasses.replace(spec7, z={**spec7.z, 1: ZClass(zc.b, zc.period[:5])}),
+        dataclasses.replace(spec7, tail={**spec7.tail, 1: word[:-1] + "1"}),
+    ]
+
+
+@pytest.mark.parametrize("spec", _hand_built_block_specs())
+def test_verify_matches_the_decoding_loop_on_hand_built_specs(spec):
+    # An all-zero period word, periods shorter than M, and a tail word
+    # ending in "1", over a window holding residue 1 twice.
+    lo = _BLOCKS_FROM + 100
+    got = _verify_result(spec, lo, lo + 2 * spec.M)
+    assert got == _decoding_verify(spec, lo, lo + 2 * spec.M)
+    assert got[1] > 0
+
+
+def test_verify_sums_full_blocks_without_decoding_them(monkeypatch):
+    # Above the crossover decode sees only the low part of each canonical
+    # representation, the positions below its lowest full block, so a
+    # fallback to decoding whole representations fails the count.
+    received = []
+
+    def counting_decode(rep):
+        received.append(rep.indices)
+        return decode(rep)
+
+    monkeypatch.setattr(zeckinv.pattern, "decode", counting_decode)
+    for a in (2, 7, 11, 47):
+        spec = _spec(a)
+        for lo in (_BLOCKS_FROM + 20, 30000):
+            received.clear()
+            report = verify(spec, lo, lo + 20)
+            assert report.checked > 0 and report.mismatches == 0
+            assert len(received) == report.checked, (a, lo)
+            assert max(max(r) for r in received) < spec.i0 + spec.M, (a, lo)
+            assert sum(map(len, received)) <= report.checked * (spec.i0 + spec.M) // 2
 
 
 def test_report_to_json_dict_writes_the_first_mismatch(spec2):
