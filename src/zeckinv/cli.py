@@ -48,11 +48,11 @@ __all__ = ["main"]
 _WRITE_PIECE = 1 << 16  # characters per write of a long output
 
 # Limits of verify --n-range.  A check at n costs about n^1.5 where verify
-# decodes the whole representation, as for periods longer than 256 digits:
-# a full window at the top, [98001, 100000], took 10.8 s for a = 137
-# (M = 276) in a cold run on a 2-vCPU host.  Where verify sums the full
-# period blocks in closed form, the same window took 4.2-4.4 s for a = 2
-# and 3.0-3.5 s for a = 7, against 9.6-10.2 s decoding every check.
+# decodes the whole representation, as below 8 full period blocks (a full
+# window at the top took 20.9 s for a = 3125, M = 12500, 8 s of it
+# synthesis).  Where it sums the blocks in closed form, [98001, 100000] took
+# 5.5-6.4 s for a = 137 (M = 276) and 4.0-4.1 s for a = 1000 (M = 1500) in
+# cold runs on a 2-vCPU host, against 11.9-12.8 s and 6.7-6.9 s decoding.
 _VERIFY_N_MAX = 100_000
 _VERIFY_WIDTH_MAX = 2_000
 

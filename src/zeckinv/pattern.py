@@ -83,7 +83,7 @@ from stat import S_ISREG
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .bigfib import _fib_table, fib_pair, fib_residues
+from .bigfib import _fib_table, fib_residues
 from .basephi import EventuallyPeriodicBits, _PhiFloors
 from .errors import (
     DomainError,
@@ -93,14 +93,7 @@ from .errors import (
     SynthesisError,
 )
 from .inverse import _certificate, _oracle_walk, inverse_oracle
-from .zeckendorf import (
-    _LEAF,
-    ZeckendorfRep,
-    _leaf_pair,
-    decode,
-    encode,
-    normalize_index_one,
-)
+from .zeckendorf import ZeckendorfRep, decode, encode, normalize_index_one
 
 __all__ = [
     "ZClass",
@@ -566,12 +559,16 @@ def matches_oracle(rep: ZeckendorfRep, a: int, n: int) -> bool:
 
 
 # verify sums the full period blocks of a representation in closed form
-# (``_rep_value``) once its top index reaches _BLOCKS_FROM.  Below it
-# decode, which then sums at most four leaves of _LEAF positions, is
-# faster: over 44 specs with a <= 200 and M <= 256, the closed form took a
-# median 1.22 times decode's time at n = 520 and 0.87 times at n = 1032
-# (2-vCPU shared host, Python 3.11.7).
-_BLOCKS_FROM = 4 * _LEAF
+# (``_rep_value``) once its top index reaches _BLOCKS_FROM and it holds at
+# least _MIN_BLOCKS full blocks.  Below either, decode is as fast or
+# faster.  Over 44 specs with a <= 200 and M <= 256, the closed form took
+# a median 1.22 times decode's time at n = 520 and 0.87 times at
+# n = 1032.  Over every a <= 200 with M <= 400 at n = 1100 and 2500, best
+# of 9, it took a median 1.35 times decode's time with 2 or 3 blocks,
+# 0.94-0.98 with 4 to 7 and 0.68-0.80 with 8 to 15 (2-vCPU shared host,
+# Python 3.11.7).
+_BLOCKS_FROM = 1024
+_MIN_BLOCKS = 8
 
 
 def _run_sum(
@@ -603,33 +600,35 @@ def _run_sum(
     return s
 
 
-def _rep_value(spec: PatternSpec, n: int, rep: ZeckendorfRep, fib_n: tuple[int, int]) -> int:
+def _rep_value(
+    spec: PatternSpec, n: int, rep: ZeckendorfRep, fib_n: tuple[int, int], fibs: list[int]
+) -> int:
     """``decode(rep)``, with the full period blocks summed in closed form.
 
-    ``fib_n`` is (F_n, F_(n+1)).  Let P be the length of the period word
-    of n's residue and K its number of 1s: ``evaluate`` puts
+    ``fib_n`` is (F_n, F_(n+1)), and ``fibs`` is [F_0, ..., F_(i0+Q+1)],
+    Q the length of the longest period word of ``spec``.  With P the
+    length of n's period word and K its number of 1s, ``evaluate`` puts
     N = (n - i0) // P full blocks on top, K indices each, every block the
     one above it shifted down by P, and the low part (partial block and
-    tail word) below them.  A representation with P <= _LEAF and a top
-    index of at least ``_BLOCKS_FROM`` is checked for that shape by C-level
-    passes: idx[t] - idx[t+K] = P over the blocks (so N >= 2), the top
-    block within [n-P, n-1], and gaps of at least 2 over the top block, the
+    tail word) below them.  A representation with a top index of at least
+    ``_BLOCKS_FROM`` and N >= ``_MIN_BLOCKS`` is checked for that shape by
+    C-level passes: idx[t] - idx[t+K] = P over the blocks, the top block
+    within [n-P, n-1], and gaps of at least 2 over the top block, the
     junction below it and the junction with the low part.  So the blocks
     are canonical, and their lowest index is at least x >= i0 >= 5 (x
     below); ``decode``, which sums the low part alone, checks the rest.
 
     With (A, B) = (sum F_e, sum F_(e+1)) over the top block's offsets
-    e = i - (n-P), one ``_leaf_pair`` over decode's table (P <= _LEAF), a
-    block based at m sums to B F_m + A F_(m-1), as
+    e = i - (n-P) < P, a block based at m sums to B F_m + A F_(m-1), as
     F_(m+e) = F_(e+1) F_m + F_e F_(m-1).  The bases are x + jP for j < N,
-    with x = n - N P, so the blocks sum to B S(x) + A S(x-1)
-    (``_run_sum``).  Any other representation goes to ``decode`` whole.
-    Either way ``InvalidRep`` is raised exactly when ``rep`` is not
-    canonical.
+    with x = n - N P < i0 + P, so the blocks sum to B S(x) + A S(x-1)
+    (``_run_sum``), every Fibonacci number but F_n and F_(n+1) read from
+    ``fibs``.  Any other representation goes to ``decode`` whole.  Either
+    way ``InvalidRep`` is raised exactly when ``rep`` is not canonical.
     """
     idx = rep.indices
     zc = spec.z.get(n % spec.M) if idx and idx[0] >= _BLOCKS_FROM else None
-    if zc is None or len(zc.period) > _LEAF:
+    if zc is None:
         return decode(rep)
     p, k = len(zc.period), zc.period.count("1")
     nblocks = (n - spec.i0) // p
@@ -638,6 +637,7 @@ def _rep_value(spec: PatternSpec, n: int, rep: ZeckendorfRep, fib_n: tuple[int, 
     low = idx[top:]
     if (
         not k
+        or nblocks < _MIN_BLOCKS
         or len(idx) < top
         or idx[0] >= n
         or idx[k - 1] < base
@@ -646,14 +646,16 @@ def _rep_value(spec: PatternSpec, n: int, rep: ZeckendorfRep, fib_n: tuple[int, 
         or (low and idx[top - 1] - low[0] < 2)
     ):
         return decode(rep)
-    a, b = _leaf_pair(map(sub, idx[:k], repeat(base)))
-    fib_p = fib_pair(p)
-    f0, f1 = fib_pair(n - nblocks * p - 1)  # F_(x-1), F_x
+    at = fibs.__getitem__
+    a = sum(map(at, map(sub, idx[:k], repeat(base))))
+    b = sum(map(at, map(sub, idx[:k], repeat(base - 1))))
+    fib_p = fibs[p], fibs[p + 1]
+    x = n - nblocks * p
     fn, fn1 = fib_n
     return (
         (decode(ZeckendorfRep(low, _validate=False)) if low else 0)
-        + b * _run_sum(p, fib_p, (f1, f0 + f1), (fn, fn1))
-        + a * _run_sum(p, fib_p, (f0, f1), (fn1 - fn, fn))
+        + b * _run_sum(p, fib_p, (fibs[x], fibs[x + 1]), (fn, fn1))
+        + a * _run_sum(p, fib_p, (fibs[x - 1], fibs[x]), (fn1 - fn, fn))
     )
 
 
@@ -665,7 +667,8 @@ def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
     runs, whatever classes the spec holds.  Every other n is checked: the
     representation must be canonical and sum to the walked value (the
     test of ``matches_oracle``), which ``_rep_value`` computes from the
-    walked (F_n, F_(n+1)) as ``decode`` would.  A non-canonical
+    walked (F_n, F_(n+1)) and one list of the Fibonacci numbers up to
+    F_(i0+Q+1), Q the longest period, as ``decode`` would.  A non-canonical
     representation counts as a mismatch, and so does an ``n`` whose tail
     word uses position 1 in a way that cannot be canonicalized or whose
     residue has no class (only a hand-built spec can carry either); such a
@@ -681,6 +684,8 @@ def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
     mismatches = 0
     first: MismatchDetail | None = None
     walk = _oracle_walk(spec.a, n_lo, n_hi)
+    p_max = max((len(zc.period) for zc in spec.z.values()), default=0)
+    fibs = _fib_table(spec.i0 + p_max + 1)  # for _rep_value
     for n, (g, want, fn, fn1) in zip(range(n_lo, n_hi + 1), walk):
         if g != 1:
             continue
@@ -688,7 +693,7 @@ def verify(spec: PatternSpec, n_lo: int, n_hi: int) -> VerificationReport:
         rep = None
         try:
             rep = evaluate(spec, n)
-            ok = _rep_value(spec, n, rep, (fn, fn1)) == want
+            ok = _rep_value(spec, n, rep, (fn, fn1), fibs) == want
         except (DomainError, InvalidRep):
             # From evaluate: the residue has no class or tail word, or the
             # tail word cannot be canonicalized (rep stays None).  From

@@ -35,13 +35,6 @@ _FIELD = _FIBS[_LEAF + 1].bit_length()
 _LEAF_PAIRS = [_FIBS[j] | _FIBS[j + 1] << _FIELD for j in range(_LEAF)]
 
 
-def _leaf_pair(offsets: Iterable[int]) -> tuple[int, int]:
-    """(sum F_j, sum F_(j+1)) over distinct offsets 0 <= j < _LEAF: the
-    pair of one leaf, as decode sums it from _LEAF_PAIRS."""
-    packed = sum(map(_LEAF_PAIRS.__getitem__, offsets))
-    return packed & ((1 << _FIELD) - 1), packed >> _FIELD
-
-
 @lru_cache(maxsize=None)
 def _split(level: int) -> tuple[int, int]:
     """(F_(k-1), F_k) for the split width k = _LEAF * 2**level of decode.

@@ -57,6 +57,7 @@ from zeckinv.cli import _a2_expected_indices
 from zeckinv.inverse import _oracle_walk
 from zeckinv.pattern import (
     _BLOCKS_FROM,
+    _MIN_BLOCKS,
     _fib_table,
     _greedy_word,
     _i0,
@@ -1186,13 +1187,20 @@ def _value_or_invalid(fn, *args):
 
 def test_verify_matches_the_decoding_loop_across_the_crossover():
     # Every canonical spec, over a window whose top indices straddle
-    # _BLOCKS_FROM; periods longer than _LEAF are decoded whole throughout.
+    # _BLOCKS_FROM; a spec with fewer than _MIN_BLOCKS full blocks there
+    # (M above about 125) is decoded whole throughout.
     lo = _BLOCKS_FROM - 16
     for a in range(2, 121):
         spec = _spec(a)
         got = _verify_result(spec, lo, lo + 40)
         assert got == _decoding_verify(spec, lo, lo + 40), a
         assert got[1] == 0 and got[0] > 0, a
+
+
+def _closed_form_from(spec):
+    """The least n from which _rep_value may sum the blocks of n's rep:
+    its top index reaches _BLOCKS_FROM and N >= _MIN_BLOCKS."""
+    return max(_BLOCKS_FROM, _MIN_BLOCKS * spec.M + spec.i0)
 
 
 def _blocks(spec, n):
@@ -1235,7 +1243,7 @@ def _raise_every_block_bottom(spec, n, idx):
 
 def _shift_blocks_up(spec, n, idx):
     # Every full block one period higher: the shape holds, but the top
-    # block lies above n - 1 (for a = 127, P = 256, beyond one leaf).
+    # block lies above n - 1.
     _, _, top = _blocks(spec, n)
     p = len(spec.z[n % spec.M].period)
     return tuple(i + p for i in idx[:top]) + idx[top:]
@@ -1256,10 +1264,10 @@ def _junction_gap_of_one(spec, n, idx):
             _lower_every_block,
             _junction_gap_of_one,
         )
-        for a in (2, 7, 11)
+        for a in (2, 7, 11, 137)
     ]
     + [(7, _raise_every_block_bottom), (11, _raise_every_block_bottom)]
-    + [(7, _shift_blocks_up), (127, _shift_blocks_up)],
+    + [(7, _shift_blocks_up), (127, _shift_blocks_up), (137, _shift_blocks_up)],
 )
 def test_verify_matches_the_decoding_loop_on_damaged_reps(monkeypatch, a, damage):
     spec = _spec(a)
@@ -1268,17 +1276,62 @@ def test_verify_matches_the_decoding_loop_on_damaged_reps(monkeypatch, a, damage
         return ZeckendorfRep(damage(spec, n, evaluate(spec, n).indices), _validate=False)
 
     monkeypatch.setattr(zeckinv.pattern, "evaluate", damaged)
-    lo = _BLOCKS_FROM + 100
+    lo = _closed_form_from(spec) + 100
     got = _verify_result(spec, lo, lo + 30)
     assert got == _decoding_verify(spec, lo, lo + 30)
     assert got[1] > 0
     # Each representation alone: the same value as decode, or InvalidRep.
+    fibs = _fib_table(spec.i0 + spec.M + 1)
     for n in range(lo, lo + 31):
         if spec.is_admissible(n):
             rep = damaged(spec, n)
-            assert _value_or_invalid(_rep_value, spec, n, rep, fib_pair(n)) == (
+            assert _value_or_invalid(_rep_value, spec, n, rep, fib_pair(n), fibs) == (
                 _value_or_invalid(decode, rep)
             ), n
+
+
+def test_rep_value_decodes_whole_below_min_blocks(monkeypatch):
+    # a = 250 has M = 1500: near n = 1100 its representations have no full
+    # block (N = 0), near n = 1600 one (N = 1), while the top index is past
+    # _BLOCKS_FROM.  _rep_value must hand each, whole, to decode, and a
+    # short or damaged one must raise InvalidRep or give decode's value,
+    # never read past the index list (IndexError).
+    spec = _spec(250)
+    fibs = _fib_table(spec.i0 + spec.M + 1)
+    received = []
+
+    def counting_decode(rep):
+        received.append(rep.indices)
+        return decode(rep)
+
+    monkeypatch.setattr(zeckinv.pattern, "decode", counting_decode)
+    seen = set()
+    for n in [*range(1090, 1111), *range(1600, 1621)]:
+        if not spec.is_admissible(n):
+            continue
+        seen.add((n - spec.i0) // spec.M)
+        idx = evaluate(spec, n).indices
+        assert idx[0] >= _BLOCKS_FROM, n
+        for damaged in (idx, idx[1:], idx[:3], idx[:1] + (idx[1] + 1,) + idx[2:]):
+            rep = ZeckendorfRep(damaged, _validate=False)
+            received.clear()
+            got = _value_or_invalid(_rep_value, spec, n, rep, fib_pair(n), fibs)
+            assert got == _value_or_invalid(decode, rep), n
+            assert received == [damaged], n
+    assert seen == {0, 1}
+
+
+def test_verify_matches_the_decoding_loop_on_long_periods():
+    # M from 264 to 1500: windows that straddle the first n with
+    # _MIN_BLOCKS full blocks, and windows near n = 20000.
+    for a in (50, 86, 98, 100, 125, 137, 250, 311, 499):
+        spec = _spec(a)
+        assert 264 <= spec.M <= 1500, a
+        start = _MIN_BLOCKS * spec.M + spec.i0
+        for lo, hi in ((start - 10, start + 10), (20000, 20020)):
+            got = _verify_result(spec, lo, hi)
+            assert got == _decoding_verify(spec, lo, hi), (a, lo)
+            assert got[1] == 0 and got[0] > 0, (a, lo)
 
 
 def _hand_built_block_specs():
@@ -1297,7 +1350,7 @@ def _hand_built_block_specs():
 def test_verify_matches_the_decoding_loop_on_hand_built_specs(spec):
     # An all-zero period word, periods shorter than M, and a tail word
     # ending in "1", over a window holding residue 1 twice.
-    lo = _BLOCKS_FROM + 100
+    lo = _closed_form_from(spec) + 100
     got = _verify_result(spec, lo, lo + 2 * spec.M)
     assert got == _decoding_verify(spec, lo, lo + 2 * spec.M)
     assert got[1] > 0
@@ -1314,9 +1367,9 @@ def test_verify_sums_full_blocks_without_decoding_them(monkeypatch):
         return decode(rep)
 
     monkeypatch.setattr(zeckinv.pattern, "decode", counting_decode)
-    for a in (2, 7, 11, 47):
+    for a in (2, 7, 11, 47, 137):
         spec = _spec(a)
-        for lo in (_BLOCKS_FROM + 20, 30000):
+        for lo in (_closed_form_from(spec) + 20, 30000):
             received.clear()
             report = verify(spec, lo, lo + 20)
             assert report.checked > 0 and report.mismatches == 0
