@@ -23,24 +23,18 @@ a^-1 mod F_n = (b_r F_n + 1)/a and b_r/a = sum_j z_j phi^-j,
 
 for any i0 < n, where T is the digit map and T^k(x_r) = (p_k + q_k*phi)/a
 is the k-th state of the digit orbit of x_r.  So every tail value is read
-off the orbit exactly, one per residue, and synthesis runs on integer
-walks alone: the digits, the orbit states and the residues b_r.
+off the orbit exactly, and synthesis runs on integer walks alone: the
+digits, the orbit states and the residues b_r.
 
 Why i0 = c, the smallest i with phi^i > a*phi^4, suffices for every
 n > c.  Write c = i0, psi = -1/phi, y' for the conjugate of y in Q(phi),
 and x = T^k(x_r) = (p + q*phi)/a with k = n - c, so that
 sqrt5 * R = sqrt5/a + phi^c x - psi^c x'.
 
-* x' is in (-phi, 1).  The orbit is purely periodic, so
-  x = T^(k+tM)(x_r) = phi^(k+tM) x_r - sum_j z_j phi^(k+tM-j) for every
-  t; conjugating (x_r is rational) and letting t grow gives
-  x' = -sum_{i>=0} psi^i z_(k-i), the indices of z taken mod M.  The
-  word has no "11" and is not alternating (a greedy expansion never
-  ends in (10)^inf), so the sum lies strictly between
-  -(phi^-1 + phi^-3 + ...) = -1 and 1 + phi^-2 + ... = phi.
-* R < F_c.  alpha = a - p - q*phi = a(1 - x) is a nonzero element of
-  Z[phi] with alpha' = a(1 - x') > 0, so its norm
-  N(alpha) = a^2 (1-x)(1-x') is an integer >= 1 and
+* x' is in (-phi, 1), by induction along the orbit (``_orbit``).
+* R < F_c.  gamma = a - p - q*phi = a(1 - x) is a nonzero element of
+  Z[phi] with gamma' = a(1 - x') > 0, so its norm
+  N(gamma) = a^2 (1-x)(1-x') is an integer >= 1 and
   1 - x >= 1/(a^2 (1-x')) > 1/(a^2 phi^2).  As phi^c > a phi^4 and
   phi^-c < phi^-4/a,
       sqrt5 (F_c - R) = phi^c (1-x) - psi^c (1-x') - sqrt5/a
@@ -250,7 +244,7 @@ def _orbit(a: int, b: int, steps: int, fl: _PhiFloors) -> tuple[str, list[int]]:
     holds one entry per distinct q the walks reach, so at most
     min(steps walked, about phi*a) entries: x = (p + q*phi)/a and its
     conjugate x' = (p + q*psi)/a give q = a(x - x')/sqrt5, and x is in
-    [0, 1) while x' is in (-phi, 1) (module docstring), so q lies in
+    [0, 1) while x' is in (-phi, 1) (below), so q lies in
     (-a/sqrt5, a*phi^2/sqrt5).  The walk costs time and memory in
     proportion to its steps: a table over that whole range would cost
     O(a) even where M, which can be as small as about 2 log_phi a
@@ -278,6 +272,23 @@ def _orbit(a: int, b: int, steps: int, fl: _PhiFloors) -> tuple[str, list[int]]:
     it for every a in [2, 1000].  ``synthesize`` and ``_inverse_at`` still
     check it at run time, as a guard on the code; as M <= 6a, a walk that
     has not closed after 6a steps never does.
+
+    The classes on a closed walk of b/a, b = b_r, with alpha the least
+    j >= 1 with a | F_j (so alpha | M), all congruences mod a:
+    * Class starts.  At each step j that alpha divides the state is
+      (b', 0).  It is b*(F_(j-1), F_j), so a | q_j, and the range of q
+      leaves q_j in {0, a}; q_j = a gives x_j - x_j' = sqrt5, so
+      x_j > 1/phi and x_j' < 1 - sqrt5 < -1/phi, against the invariant.
+    * Which class.  b' = b_(r-j), indices mod M.  d'Ocagne with F_j = 0
+      and F_(j+1) = F_(j-1) gives F_(r-j) = (-1)^j (F_r F_(j+1) -
+      F_(r+1) F_j) = (-1)^j F_r F_(j-1), and Cassini F_(j-1)^2 = (-1)^j, so
+      F_(r-j) = F_r / F_(j-1) and b_(r-j) = -F_(j-1)/F_r = b F_(j-1) = b'.
+      The walk goes on from (b', 0) to (b, 0) in M - j steps, so each s
+      with b_s = b' has b_(s+j) = b: the class at step j is exactly
+      {r - j : b_r = b}.
+    * Same tail.  Residue r - j has the word rotated by j, so ``_tail``
+      reads it at step (r - i0) mod M of this walk with r's junction
+      digit: it has r's tail, and the tail table repeats with period alpha.
 
     A closed word z_1 ... z_M, read over positions M+1 down to 2, is the
     Zeckendorf code of N_b = b (F_(M+2) - 1) / a.  The digit map gives
@@ -319,28 +330,31 @@ def _orbit(a: int, b: int, steps: int, fl: _PhiFloors) -> tuple[str, list[int]]:
 
 
 def _tail(
-    a: int, n: int, i0: int, per: str, p: int, q: int, fibs: list[int]
+    a: int, i0: int, per: str, qs: list[int], k: int, fibs: list[int]
 ) -> tuple[int, str]:
-    """The tail value and word of n, from the orbit state (p + q*phi)/a.
+    """The tail value and word of the n with n - i0 = k (mod L), read at
+    orbit step k of the walk of b/a.
 
-    ``per`` is the digit word of b_r/a with r = n mod M (the period, or a
-    prefix of at least n - i0 digits) and (p, q) its orbit state n - i0.
-    The value R(n) = (1 + p F_i0 + q F_(i0+1)) / a (module docstring) must
-    be a non-negative integer, and ``_greedy_word`` refuses it at F_i0 or
-    above.  The word must hold no "11", and neither may the junction,
-    positions i0 and i0-1: the z digit z_(n-i0) = per[(n - i0 - 1) % L]
-    and the word's first character.  ``fibs`` is F_0, ... up to F_(i0+1).
+    ``per`` and ``qs`` are what ``_orbit`` returned for b/a: the L digits
+    walked (the period, or a prefix of at least k digits) and the q parts.
+    With the state (p, q) = (q_(k+1) - q_k, q_k), the value
+    R(n) = (1 + p F_i0 + q F_(i0+1)) / a (module docstring) must be a
+    non-negative integer, and ``_greedy_word`` refuses it at F_i0 or above.
+    The word must hold no "11", and neither may the junction, positions i0
+    and i0-1: the z digit z_(n-i0) = per[k - 1], taken cyclically, and the
+    word's first character.  ``fibs`` is F_0, ... up to F_(i0+1).
     """
-    value, rest = divmod(1 + p * fibs[i0] + q * fibs[i0 + 1], a)
+    q = qs[k]
+    value, rest = divmod(1 + (qs[k + 1] - q) * fibs[i0] + q * fibs[i0 + 1], a)
     if rest or value < 0:
         raise SynthesisError(
-            f"remainder is not a non-negative integer for a={a}, n={n}"
+            f"remainder is not a non-negative integer for a={a} at orbit step {k}"
         )
     word = _greedy_word(value, i0, fibs)
     if "11" in word:
-        raise SynthesisError(f"tail word for a={a}, n={n} contains '11'")
-    if per[(n - i0 - 1) % len(per)] == "1" and word.startswith("1"):
-        raise SynthesisError(f"assembled digits contain '11' for a={a}, n={n}")
+        raise SynthesisError(f"tail word for a={a} at orbit step {k} contains '11'")
+    if per[k - 1] == "1" and word.startswith("1"):
+        raise SynthesisError(f"assembled digits contain '11' for a={a} at orbit step {k}")
     return value, word
 
 
@@ -361,13 +375,11 @@ def synthesize(a: int) -> PatternSpec:
 
     M and the residues come from one walk of (F_r, F_(r+1)) mod a,
     ``fib_residues``, with b_r = -F_r^-1 mod a where gcd(a, F_r) = 1.
-    Residues whose b_r share a digit-orbit cycle share its digits up to
-    rotation, so each cycle is walked once by ``_orbit``, and every state
-    (b', 0) at step j of it starts the digits of b'/a, per[j:] + per[:j].
-    That word is built once, and its ZClass is shared by every residue r
-    with b_r = b'.  Each cycle's residues are handled as soon as it is
-    walked, and its states are then dropped.  Residue r's tail value is
-    read at the orbit state (r - i0) mod M of b_r/a by ``_tail`` and kept.
+    Each digit-orbit cycle is walked once by ``_orbit``, from its first
+    b.  Its classes start at the steps j that alpha divides: b'/a has the
+    digits per[j:] + per[:j], and its residues are r - j for the r with
+    b_r = b, each with r's tail (``_orbit``).  So ``_tail`` runs once per
+    residue of b, and the cycle's states are dropped once it is done.
     Once every cycle is walked, each tail value is cross-checked against
     the big-integer oracle at the first n >= n0 in r's class, in n order
     along one ``_oracle_walk`` of [n0, n0 + M - 1], so the oracle holds
@@ -388,9 +400,7 @@ def synthesize(a: int) -> PatternSpec:
         if math.gcd(a, f) == 1:
             residues_of.setdefault(-pow(f, -1, a) % a, []).append(r)
             z[r] = tail[r] = None
-    # q_j = b F_j (mod a) on every cycle (see _orbit), so q_j = 0 only where
-    # a | F_j, that is at multiples of the first such j >= 1.
-    alpha = (fs + [0]).index(0, 1)
+    alpha = (fs + [0]).index(0, 1)  # the least j >= 1 with a | F_j
     i0 = _i0(a)
     n0 = i0 + 1  # PatternSpec.n0; every n < n0 + M has n - i0 <= M
 
@@ -407,16 +417,12 @@ def synthesize(a: int) -> PatternSpec:
                 f"digit orbit of b/a = {b}/{a} does not close after M = {m_per} steps"
             )
         _check_period(a, b, per)
-        for j in range(0, m_per, alpha):
-            if qs[j] or qs[j + 1] not in residues_of:  # not at a state (b_r, 0)
-                continue
-            zc = ZClass(qs[j + 1], per[j:] + per[:j])
-            for r in residues_of[zc.b]:
-                n = n0 + (r - n0) % m_per
-                k = (j + r - i0) % m_per
-                q = qs[k]
-                values[r], tail[r] = _tail(a, n, i0, zc.period, qs[k + 1] - q, q, fibs)
-                z[r] = zc
+        classes = [ZClass(qs[j + 1], per[j:] + per[:j]) for j in range(0, m_per, alpha)]
+        for r in residues_of[b]:
+            value, word = _tail(a, i0, per, qs, (r - i0) % m_per, fibs)
+            for j, zc in zip(range(0, m_per, alpha), classes):
+                s = (r - j) % m_per
+                z[s], tail[s], values[s] = zc, word, value
     # gcd(a, F_n) = gcd(a, F_r) for r = n mod M, so the walk finds exactly
     # the residues of z admissible, each at one n.
     for n, (g, inv, _, _) in zip(
@@ -453,7 +459,7 @@ def _inverse_at(a: int, n: int) -> ZeckendorfRep:
     elif len(per) < n - i0:
         raise SynthesisError(f"digit orbit of b/a = {b}/{a} does not close")
     k = (n - i0 - 1) % len(per) + 1
-    _, word = _tail(a, i0 + k, i0, per, qs[k + 1] - qs[k], qs[k], _fib_table(i0 + 1))
+    _, word = _tail(a, i0, per, qs, k, _fib_table(i0 + 1))
     rep = _assemble(i0 + k, i0, per, word)
     if not matches_oracle(rep, a, i0 + k):
         raise SynthesisError(
@@ -469,7 +475,7 @@ def _inverse_at(a: int, n: int) -> ZeckendorfRep:
 def _no_class_error(spec: PatternSpec, n: int) -> NotCoprime | DomainError:
     """NotCoprime if gcd(a, F_n) > 1; otherwise DomainError, since only a
     hand-built spec can leave out the class or tail word of an admissible
-    residue."""
+    residue, or give it an empty period."""
     try:
         _certificate(spec.a, n)
     except NotCoprime as exc:
@@ -488,7 +494,7 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
         raise DomainError(f"need n >= {i0 + 1}, got {n}")
     r = n % spec.M
     zc, word = spec.z.get(r), spec.tail.get(r)
-    if zc is None or word is None:
+    if zc is None or not zc.period or word is None:
         raise _no_class_error(spec, n)
     return _assemble(n, i0, zc.period, word)
 
@@ -560,13 +566,11 @@ def matches_oracle(rep: ZeckendorfRep, a: int, n: int) -> bool:
 
 # verify sums the full period blocks of a representation in closed form
 # (``_rep_value``) once its top index reaches _BLOCKS_FROM and it holds at
-# least _MIN_BLOCKS full blocks.  Below either, decode is as fast or
-# faster.  Over 44 specs with a <= 200 and M <= 256, the closed form took
-# a median 1.22 times decode's time at n = 520 and 0.87 times at
-# n = 1032.  Over every a <= 200 with M <= 400 at n = 1100 and 2500, best
-# of 9, it took a median 1.35 times decode's time with 2 or 3 blocks,
-# 0.94-0.98 with 4 to 7 and 0.68-0.80 with 8 to 15 (2-vCPU shared host,
-# Python 3.11.7).
+# least _MIN_BLOCKS full blocks; below either, decode is as fast or faster.
+# Median time against decode's, over every a <= 200 with M <= 400 at
+# n = 1100 and 2500, best of 9: 1.35 with 2 or 3 blocks, 0.94-0.98 with 4
+# to 7, 0.68-0.80 with 8 to 15 (2-vCPU shared host, Python 3.11.7); at
+# n = 520 and 1032, over 44 specs with M <= 256, 1.22 and 0.87.
 _BLOCKS_FROM = 1024
 _MIN_BLOCKS = 8
 
@@ -766,15 +770,11 @@ def _pattern_text(spec: PatternSpec) -> str:
         for key in sorted(z)
     )
     tail_body = ",\n".join(f"    {_esc(key)}: {_esc(tail[key])}" for key in sorted(tail))
+    tail_table, z_table = (f"{{\n{body}\n  }}" if body else "{}" for body in (tail_body, z_body))
     return (
         f'{{\n  "M": {spec.M:d},\n  "a": {spec.a:d},\n'
-        f'  "tail": {_json_block(tail_body)},\n  "z": {_json_block(z_body)}\n}}\n'
+        f'  "tail": {tail_table},\n  "z": {z_table}\n}}\n'
     )
-
-
-def _json_block(body: str) -> str:
-    """A table of ``_pattern_text`` around its entries; ``{}`` when empty."""
-    return f"{{\n{body}\n  }}" if body else "{}"
 
 
 def _json_int(value: object, name: str) -> int:
@@ -892,22 +892,16 @@ def save_pattern(spec: PatternSpec, path: str) -> None:
     """Write the canonical JSON form, ``_pattern_text``, to ``path``.
 
     The text is built first, so a spec that cannot be written leaves the
-    path as it was.  The file is then opened without truncation (a new
-    one gets mode 0o666 less the umask, as ``open(path, "w")`` gives),
-    the ASCII bytes are written over its start and a regular file is cut
-    at their end.  The one code path serves new and existing files.
-
-    Truncating first costs more than the write: on ext4 with
-    ``auto_da_alloc`` (the default), a file cut to zero and written again
-    starts writeback on close: 130-180 us for the 1,265 bytes of the
-    a = 76 spec, against 17-20 us in place, about as long as
-    ``synthesize(76)`` itself.
-
-    Neither way calls fsync.  An existing file is never cut to zero: a
-    write that fails part way leaves the new bytes over the start of the
-    old ones, and ``load_pattern``, which accepts only the canonical
-    spec, refuses that mix.  A rewrite for the same ``a`` writes the
-    bytes already there.
+    path as it was.  The file is opened without truncation (a new one gets
+    mode 0o666 less the umask, as ``open(path, "w")`` gives), the ASCII
+    bytes are written over its start and a regular file is cut at their
+    end, one code path for new and existing files.  On ext4 with
+    ``auto_da_alloc`` (the default) a file cut to zero and written again
+    starts writeback on close: 130-180 us for the 1,265 bytes of the a = 76
+    spec, against 17-20 us in place.  Neither way calls fsync.  A write
+    that fails part way leaves the new bytes over the start of the old
+    ones, a mix that ``load_pattern``, which accepts only the canonical
+    spec, refuses.
     """
     _write_pattern(_pattern_text(spec), path)
 

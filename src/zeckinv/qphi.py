@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 
-from .basephi import EventuallyPeriodicBits, _PhiFloors, expand
+from .basephi import EventuallyPeriodicBits, _PhiFloors, _unit_interval_pair, expand
 from .bigfib import fib_pair
 from .errors import DomainError, InternalInvariantViolation, InvalidRep, PreconditionError
 from .zeckendorf import ZeckendorfRep, normalize_index_one
@@ -359,18 +359,23 @@ def splice_check(
         x = QPhi(x)
     if isinstance(y, (int, Fraction)):
         y = QPhi(y)
-    ex = expand(x)
-    if digit_at(ex, lam) != 0 or digit_at(ex, lam + 1) != 0:
+    # Digits 1 to lam+1 of x by expand's digit map, so that a refused call
+    # costs lam+1 steps, not a whole expansion.
+    fl = _PhiFloors()
+    p, q, den = _unit_interval_pair(x, fl)  # domain check: x in [0, 1)
+    s, t, head_digits = q, p + q, []
+    for _ in range(lam + 1):
+        head_digits.append(s + fl[t] >= den)
+        s, t = t, s + t - den * head_digits[-1]
+    if any(head_digits[-2:]):
         # No value in the text: x may be past the int/str digit limit.
         raise PreconditionError(f"digits {lam}, {lam + 1} of x must both be 0")
+    ex = expand(x)
     expand(y)  # domain check: y in [0, 1)
 
     shift = y * phi_pow(-m)
     v = x + shift
-    head = QPhi(0)
-    for i in range(1, lam + 2):
-        if digit_at(ex, i):
-            head = head + phi_pow(-i)
+    head = sum((phi_pow(-i) for i, d in enumerate(head_digits, 1) if d), QPhi(0))
     w = (x - head) + shift
 
     ev = expand(v)

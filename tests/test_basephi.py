@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,25 @@ def test_splice_precondition_error_names_no_value():
             splice_check(x, 0, 5, 1)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_splice_precondition_reads_two_digits_not_the_expansion():
+    # x = 1/2 + phi^-30000 has a preperiod of 29,999 digits, and expanding it
+    # takes about 10 s; its digit 2 is 1, as for 1/2, so the precondition
+    # fails after two steps of the digit map.
+    x = HALF + phi_pow(-30000)
+    started = time.perf_counter()
+    with pytest.raises(PreconditionError, match=r"^digits 1, 2 of x must both be 0$"):
+        splice_check(x, 0, 5, 1)
+    assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("x", [QPhi(Fraction(3, 2)), QPhi(-1), PHI, 1 + phi_pow(-40)])
+def test_splice_refuses_x_outside_the_unit_interval_before_its_digits(x):
+    # The digit map would read digit 1 of 3/2 or phi as 1, yet an x outside
+    # [0, 1) is a DomainError, never a PreconditionError.
+    with pytest.raises(DomainError, match=r"^x is outside \[0, 1\)$"):
+        splice_check(x, 0, 5, 1)
 
 
 def test_splice_randomized():

@@ -526,6 +526,66 @@ def test_residues_with_one_b_share_one_zclass(a):
     assert rebuilt == spec
 
 
+def _alpha(a):
+    """The rank of apparition of a: the least j >= 1 with a | F_j."""
+    j, f, f1 = 1, 1, 1
+    while f % a:
+        j, f, f1 = j + 1, f1, (f + f1) % a
+    return j
+
+
+def test_classes_and_tails_repeat_with_the_rank_of_apparition():
+    # _orbit's docstring: residue r - alpha is admissible exactly when r is,
+    # has r's tail word, and has r's period word rotated by alpha.
+    for a in [*range(2, 301), 1000, 2017]:
+        spec, alpha = synthesize(a), _alpha(a)
+        assert spec.M % alpha == 0, a
+        for r in range(spec.M):
+            s = (r - alpha) % spec.M
+            assert (r in spec.z) == (s in spec.z), (a, r)
+            if r in spec.z:
+                assert spec.tail[s] == spec.tail[r], (a, r)
+                per = spec.z[r].period
+                assert spec.z[s].period == per[alpha:] + per[:alpha], (a, r)
+
+
+@pytest.mark.parametrize(
+    "a, classes_per_cycle", [(7, 2), (10, 4), (47, 2), (137, 4), (250, 4), (1009, 1)]
+)
+def test_synthesize_derives_one_tail_per_residue_of_a_cycle_start(
+    monkeypatch, a, classes_per_cycle
+):
+    # Each cycle holds M/alpha classes, which share the tails of the first,
+    # so synthesis calls _tail len(z) * alpha / M times.
+    calls = []
+    tail = zeckinv.pattern._tail
+
+    def counting(*args):
+        calls.append(args)
+        return tail(*args)
+
+    monkeypatch.setattr(zeckinv.pattern, "_tail", counting)
+    spec = synthesize(a)
+    assert spec.M // _alpha(a) == classes_per_cycle
+    assert len(calls) == len(spec.z) // classes_per_cycle
+
+
+def test_empty_period_is_a_domain_error_and_a_mismatch(spec7):
+    # Only a hand-built spec can carry an empty period word.  evaluate
+    # refuses it as it refuses a missing class, naming the residue, and
+    # verify counts its n with got = ().
+    bad = dataclasses.replace(spec7, z={**spec7.z, 1: ZClass(spec7.z[1].b, "")})
+    n = 1201  # 1201 = 1 (mod 16)
+    with pytest.raises(DomainError, match=r"no class for residue 1$"):
+        evaluate(bad, n)
+    report = verify(bad, n - 10, n + 20)
+    assert report.checked == verify(spec7, n - 10, n + 20).checked > 2
+    assert report.mismatches == 2  # n and n + 16
+    assert report.first_mismatch == MismatchDetail(
+        n=n, expected=encode(inverse_oracle(7, n)).indices, got=()
+    )
+
+
 def _flipped(step):
     """A digit rule that turns over the digit of lookup ``step`` (from 0)."""
     return lambda i, d: d != (i == step)
