@@ -3,8 +3,10 @@
 Every such x has a unique digit sequence (d_i) with x = sum d_i phi^-i,
 no two consecutive 1s, and a tail that is not ultimately 0,1,0,1,...
 The sequence is produced by iterating T(x) = (phi*x mod 1) and reading
-the floor at each step; for field elements it is eventually periodic,
-and the expansion is computed exactly by cycle detection on the orbit.
+the floor at each step; for field elements it is eventually periodic.
+The expansion is computed exactly with no table of states: the period
+starts at the first state whose conjugate lies in a set the map
+permutes, and ends when the walk is back at that state (``expand``).
 Each digit is one test on integers, u + floor(phi*v) >= den, with the
 floor kept in ``_PhiFloors``: the package's one floor(phi*v), which the
 orbit walk of ``pattern`` and ``QPhi.floor`` read too.
@@ -137,32 +139,86 @@ def expand(x: QPhi | Fraction | int) -> EventuallyPeriodicBits:
     The digit map acts on x = (p + q*phi)/den as
     phi*x = (q + (p+q)*phi)/den; the emitted digit d is 1 exactly when
     phi*x >= 1, and the next state is (q - d*den, p + q).  The denominator
-    never changes, and conjugate coordinates contract toward a fixed
-    window, so orbits are finite.  The walk keeps the integer pair
-    (u, v) = (q, p + q), which fixes the state: d = 1 exactly when
-    u + floor(phi*v) >= den (``_PhiFloors``), and the next pair is
-    (v, u + v - den*d).
+    never changes.  The walk keeps the integer pair (u, v) = (q, p + q),
+    which fixes the state: d = 1 exactly when u + floor(phi*v) >= den
+    (``_PhiFloors``), and the next pair is (v, u + v - den*d).
 
-    States are keyed exactly, so the first revisited state splits the digit
-    stream into the minimal preperiod and the primitive period (two
-    positions carry equal digit tails if and only if they carry equal
-    states, since the state is determined by the remaining value).  The
-    split is returned as it is; ``EventuallyPeriodicBits`` checks both.
+    The period is found by a rule, with no table of states.  With
+    psi = -1/phi, the conjugate of x is x' = (p + q*psi)/den
+    = (v - u*phi)/den, and it steps as x' -> psi*x' - d.  Let D be the
+    states with x' in (-phi, 1) and, when d = 1 (that is x >= 1/phi),
+    x' > -1/phi.  A state is purely periodic exactly when it is in D
+    (the golden-mean case of Schmidt, Bull. London Math. Soc. 12, 1980,
+    and Ito and Rao, Proc. AMS 133, 2005):
+    * The map keeps D: this is the invariant proved in ``pattern._orbit``
+      for den = a, and its proof does not use den.
+    * The map is one-to-one on D.  Two states with the same digit and the
+      same image are equal, and a 0-digit sends x' into (-1/phi, 1) while
+      a 1-digit sends it into (-phi, -1/phi), so states with different
+      digits have different images.
+    * D is finite: q = den*(x - x')/sqrt5 lies in
+      (-den/sqrt5, den*phi^2/sqrt5) and p = den*x - q*phi in a bounded
+      range, both integers.  A one-to-one map of a finite set into itself
+      is a permutation, so every state in D comes back to itself.
+    * Conversely, a purely periodic state is in D.  Let it have period L
+      and digits d_0, d_1, ..., indices read mod L, and e_i = d_(-1-i)
+      the digits read backward from d_(L-1).  After m*L steps the state
+      is back, so x' = psi^(mL)*x' - sum_(i < mL) e_i psi^i, and as m
+      grows, x' = -sum_(i >= 0) e_i psi^i.  The e_i have no two 1s in a
+      row, since a 1-digit leaves phi*x - 1 < 1/phi and so a 0-digit
+      next; they do not alternate, since a state whose digits read
+      0, 1, 0, 1, ... is phi^-2 + phi^-4 + ... = 1/phi, whose digit is 1.
+      The sums of psi^i over indices with no two in a row lie in
+      [-1, phi], and the bounds psi + psi^3 + ... = -1 and
+      1 + psi^2 + ... = phi come only from the two alternating choices;
+      so x' is in (-phi, 1).  When d_0 = 1, e_0 = d_(L-1) = 0, so
+      x' = -psi * sum_(i >= 0) e_(i+1) psi^i lies in phi^-1 * (-1, phi)
+      = (-1/phi, 1).
+    So the first state in D ends the minimal preperiod, and the first
+    return to that state ends the primitive period: two positions carry
+    equal digit tails exactly when they carry equal states, since a
+    state is fixed by the value its remaining digits spell.  The split
+    is returned as it is; ``EventuallyPeriodicBits`` checks both.
+
+    The bounds are strict, as the converse gives them.  x' is 1, -phi or
+    -1/phi only for x = 1, x = 1/phi or x = phi (take conjugates), and
+    only 1/phi is in [0, 1): its x' = -phi leaves it out of D, as it
+    must, since it steps to 0 and expands to 1|0.
+
+    In integers, as an integer is above a real y exactly when it is above
+    floor(y), and at most y exactly when it is at most floor(y):
+    * x' < 1 is v - den < u*phi, that is fl[u] >= v - den (at u = 0 the
+      two differ only at v = den, the state x = 1, which is out of range);
+    * x' > -phi is v > (u - den)*phi, that is v > fl[u - den];
+    * x' > -1/phi is v - den > (u - den)*phi, that is v - den > fl[u - den].
+    The last two read v - den*d > fl[u - den].  The walk first tests
+    -den < u < 2*den, which holds in D as u = q lies in the range above
+    (the range of q in ``pattern._orbit``), so that a long preperiod over
+    large coordinates pays no floor but the digit's.  Besides the digits
+    and the floor memo, the walk keeps only the state that starts the
+    period.
     """
     fl = _PhiFloors()
     p, q, den = _unit_interval_pair(x, fl)
-    seen: dict[tuple[int, int], int] = {}
     digits = bytearray()
     u, v = q, p + q
-    while (u, v) not in seen:
-        seen[u, v] = len(digits)
+    while True:
+        d = u + fl[v] >= den
+        if -den < u < 2 * den and fl[u] >= v - den and v - den * d > fl[u - den]:
+            break
+        digits.append(48 + d)  # "0" or "1"
+        u, v = v, u + v - den * d
+    pre_len = len(digits)
+    u0, v0 = u, v
+    while True:
         if u + fl[v] >= den:
             digits.append(49)  # "1"
             u, v = v, u + v - den
         else:
             digits.append(48)  # "0"
             u, v = v, u + v
-    pre_len = seen[u, v]
+        if u == u0 and v == v0:
+            break
     word = digits.decode()
     try:
         return EventuallyPeriodicBits(word[:pre_len], word[pre_len:])

@@ -60,9 +60,10 @@ _VERIFY_WIDTH_MAX = 2_000
 # M = 2*5^k; the worst M under the limit, 2*5^10, ends in about 15 s.
 _PISANO_M_MAX = 20_000_000
 
-# Limit of basephi's common denominator D.  The orbit keeps one state per
-# digit, about pi(D) <= 6D of them at some 180 bytes each with the floor
-# memo; the worst D under the limit, 2*5^8, ends in about 10 s and 840 MB.
+# Limit of basephi's common denominator D.  The walk takes about
+# pi(D) <= 6D steps and keeps one byte per digit and one floor per distinct
+# v, about a million floors at some 120 bytes each for the worst D under
+# the limit, 2*5^8, which ends in about 4 s and 132 MB.
 _BASEPHI_DEN_MAX = 1_000_000
 
 # Limit of a for pattern, and for verify without --spec: both synthesize.

@@ -6,6 +6,7 @@ import pickle
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,11 @@ def test_expand_matches_a_sign_of_reference():
         QPhi(2, -1) - phi_pow(-93),  # 2 - phi is below 1; coordinates past 2^63
         Fraction(1, 3) + phi_pow(-95),
         Fraction(3, 7) - phi_pow(-94),
+        # Preperiods of 503 and 501 digits, most of them walked while the
+        # coordinates are far past the range that holds in a period.
+        HALF + phi_pow(-500),
+        Fraction(1, 3) - phi_pow(-501),
+        QPhi(Fraction(1, 7919)),  # period 7,918
     ]
     while len(xs) < 400:
         den = rng.randint(1, 400)
@@ -219,7 +225,23 @@ def test_expand_matches_a_sign_of_reference():
         with_pre += bits.preperiod != ""
         negative_q += x.v < 0
         past_2_63 += max(abs(x.u.numerator), abs(x.v.numerator)) > 2**63
-    assert with_pre > 100 and negative_q > 100 and past_2_63 == 3
+    assert with_pre > 100 and negative_q > 100 and past_2_63 == 5
+
+
+def test_expand_keeps_no_table_of_states():
+    # The walk keeps its digits, the floor memo and one saved state: about
+    # 8 MiB for the 200,008 digits of 1/100003, where a dict keyed by every
+    # orbit state peaked at 39 MiB.
+    expand(Fraction(1, 3))  # loads qphi outside the measured call
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        bits = expand(Fraction(1, 100003))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (bits.preperiod, len(bits.period)) == ("", 200008)
+    assert peak < 20 * 2**20
 
 
 def test_expand_rationals_purely_periodic_sample():
@@ -302,9 +324,9 @@ def test_splice_precondition_error_names_no_value():
     # x's coordinates have more digits than int/str conversion allows, so an
     # error text that formats x would raise ValueError in its place.  The
     # limit is lowered to its minimum, 640 digits, so that x = 1/2 + phi^-3200
-    # (669-digit coordinates, about 3,200 digits of preperiod) is past it and
-    # expands in well under a second; at the default limit the first such
-    # phi^-k has k near 20,600 and expands in seconds.
+    # (669-digit coordinates, 3,203 digits of preperiod) is past it and
+    # expands in 0.03-0.06 s; at the default limit the first such phi^-k has
+    # k near 20,600 and expands in 4-6 s (2-vCPU host, Python 3.11).
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -319,8 +341,8 @@ def test_splice_precondition_error_names_no_value():
 
 def test_splice_precondition_reads_two_digits_not_the_expansion():
     # x = 1/2 + phi^-30000 has a preperiod of 29,999 digits, and expanding it
-    # takes about 10 s; its digit 2 is 1, as for 1/2, so the precondition
-    # fails after two steps of the digit map.
+    # takes 10-13 s (2-vCPU host, Python 3.11); its digit 2 is 1, as for 1/2,
+    # so the precondition fails after two steps of the digit map.
     x = HALF + phi_pow(-30000)
     started = time.perf_counter()
     with pytest.raises(PreconditionError, match=r"^digits 1, 2 of x must both be 0$"):
