@@ -74,7 +74,7 @@ from itertools import chain, compress, islice, repeat
 from operator import sub
 from json.encoder import encode_basestring_ascii as _esc
 from stat import S_ISREG
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 
 from .bigfib import _fib_table, fib_residues
@@ -215,16 +215,25 @@ def _bits(word: str) -> bytes:
     return bytes(word, "ascii").translate(_BIT_BYTES)
 
 
-def _exact_remainder(value: int, n: int, i0: int, period: str, fibs: list[int]) -> int:
-    """R(n) from the oracle's value of (a^-1 mod F_n) (cross-check path).
-
-    Position i in [i0, n-1] carries period digit n-1-i, and n - i0 <= M
-    (see ``synthesize``), so the explained part is the sum of
-    F_(n-1-o) over the 1-offsets o < n - i0 of the period, taken in C by
-    ``compress`` over the reversed table slice F_(n-1), ..., F_i0.  The
-    oracle value comes from ``_oracle_walk``, which does not read ``fibs``.
+def _remainders(
+    a: int, i0: int, m_per: int, z: Mapping[int, ZClass], fibs: list[int]
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (n, r, R(n)) from the oracle at the first n >= n0 of each
+    residue r of ``z``, in n order, along one ``_oracle_walk`` of
+    [n0, n0 + M - 1]; gcd(a, F_n) = gcd(a, F_r) for r = n mod M, so it
+    meets exactly the admissible residues.  R(n) is the oracle's
+    (a^-1 mod F_n) less the z part: position i in [i0, n-1] carries
+    period digit n-1-i and n - i0 <= M, so that part is a ``compress``
+    sum over the reversed slice F_(n-1), ..., F_i0 of ``fibs``, which the
+    oracle does not read.
     """
-    return value - sum(compress(fibs[n - 1 : i0 - 1 : -1], _bits(period[: n - i0])))
+    n0 = i0 + 1
+    walk = _oracle_walk(a, n0, n0 + m_per - 1)
+    for n, (g, inv, _, _) in zip(range(n0, n0 + m_per), walk):
+        if g == 1:
+            r = n % m_per
+            z_part = compress(fibs[n - 1 : i0 - 1 : -1], _bits(z[r].period[: n - i0]))
+            yield n, r, inv - sum(z_part)
 
 
 def _orbit(a: int, b: int, steps: int, fl: _PhiFloors) -> tuple[str, list[int]]:
@@ -381,9 +390,8 @@ def synthesize(a: int) -> PatternSpec:
     b_r = b, each with r's tail (``_orbit``).  So ``_tail`` runs once per
     residue of b, and the cycle's states are dropped once it is done.
     Once every cycle is walked, each tail value is cross-checked against
-    the big-integer oracle at the first n >= n0 in r's class, in n order
-    along one ``_oracle_walk`` of [n0, n0 + M - 1], so the oracle holds
-    one F_n pair at a time.
+    the big-integer oracle at the first n >= n0 in r's class
+    (``_remainders``).
     """
     if a < 2:
         raise DomainError(f"need a >= 2, got {a}")
@@ -423,17 +431,11 @@ def synthesize(a: int) -> PatternSpec:
             for j, zc in zip(range(0, m_per, alpha), classes):
                 s = (r - j) % m_per
                 z[s], tail[s], values[s] = zc, word, value
-    # gcd(a, F_n) = gcd(a, F_r) for r = n mod M, so the walk finds exactly
-    # the residues of z admissible, each at one n.
-    for n, (g, inv, _, _) in zip(
-        range(n0, n0 + m_per), _oracle_walk(a, n0, n0 + m_per - 1)
-    ):
-        if g == 1:
-            r = n % m_per
-            if values[r] != _exact_remainder(inv, n, i0, z[r].period, fibs):
-                raise SynthesisError(
-                    f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
-                )
+    for n, r, value in _remainders(a, i0, m_per, z, fibs):
+        if values[r] != value:
+            raise SynthesisError(
+                f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
+            )
     return PatternSpec(a=a, M=m_per, z=z, tail=tail)
 
 
@@ -499,6 +501,13 @@ def evaluate(spec: PatternSpec, n: int) -> ZeckendorfRep:
     return _assemble(n, i0, zc.period, word)
 
 
+# _assemble walks the grid up to this many full blocks, whatever the number
+# K of 1-offsets.  Grid/zip time, best of 7, for K = 4, 35, 74 and 422
+# (a = 7, 30, 137, 1000): 0.47-0.58 at 8 blocks, 0.95-1.03 at 48, 0.91-1.03
+# at 64 and 1.09-1.17 at 128 (2-vCPU shared host, Python 3.11.7).
+_GRID_BLOCKS = 48
+
+
 def _assemble(n: int, i0: int, per: str, word: str) -> ZeckendorfRep:
     """The representation of n from the residue's digits and tail word.
 
@@ -507,10 +516,10 @@ def _assemble(n: int, i0: int, per: str, word: str) -> ZeckendorfRep:
     to 1.  Position i in [i0, n-1] carries z_(n-i), so a 1-digit at offset
     o of ``per`` (length L_r) puts the arithmetic progression n-1-o,
     n-1-o-L_r, ... into the output.  The full period blocks are the grid
-    of block tops by 1-offsets, emitted block by block.  With no more
-    blocks than 1-offsets a comprehension walks the grid, one step per
-    index; with more, one ``range`` per 1-offset is interleaved by ``zip``
-    in C, so no more objects are built than there are blocks.  The
+    of block tops by 1-offsets, emitted block by block.  Up to
+    ``_GRID_BLOCKS`` blocks a comprehension walks the grid, one step per
+    index; above, one ``range`` per 1-offset is interleaved by ``zip`` in
+    C, at a fixed cost of one ``range`` per 1-offset.  The
     partial top block (positions base down to i0) and the tail word
     (i0-1 down to 1) are one run, emitted by one ``compress`` over their
     joined digits; the period's 1-offsets, needed only when there is a
@@ -527,7 +536,7 @@ def _assemble(n: int, i0: int, per: str, word: str) -> ZeckendorfRep:
     base = n - 1 - nblocks * lr
     # The 1-offsets of the period; with no full block none is needed.
     ones = list(compress(range(lr), bits)) if nblocks else []
-    if nblocks <= len(ones):
+    if nblocks <= _GRID_BLOCKS:
         indices = [t - o for t in range(n - 1, base, -lr) for o in ones]
     else:
         # The ranges go to zip as a list: unpacking a generator grows a
@@ -795,14 +804,25 @@ def from_json_dict(data: dict) -> PatternSpec:
     """Load a spec, which must be exactly the canonical spec of its ``a``.
 
     The file holds only a, M, z and tail.  Cheap checks come first:
-    field types, canonical table keys, equal table sizes, M == pi(a) by
-    one walk that the file's M bounds (see ``_check_residues``), and the
-    keys and lengths of the words (see ``_check_words``).  Then
-    ``synthesize(a)`` runs and the data must equal its JSON form;
-    otherwise the first differing field (an extra one included), and for
-    ``z`` and ``tail`` the first differing key, is named.  So a file loads
-    if and only if it is the canonical spec, and loading costs one
-    synthesis.
+    field types, canonical table keys, equal table sizes, M == pi(a) and
+    the admissible residues by one walk that the file's M bounds
+    (``_residue_units``), and the keys and lengths of the words
+    (``_check_words``).  Then, with no orbit walk, one sum decides each
+    word, as a word of 0/1 digits with no "11" over positions >= 2 is the
+    Zeckendorf code of its value:
+
+    * z: residue r holds b = b_r = -F_r^-1 mod a, and the word of b, over
+      positions M+1 down to 2, sums to N_b = b (F_(M+2) - 1)/a, so it is
+      encode(N_b), the digit period of b/a that synthesis walks (``_orbit``);
+    * tail: the word of r leaves position 1 unused, keeps the junction
+      free of "11" and sums to R(n) at the first n >= n0 of r's class
+      (``_remainders``, synthesis's cross-check), so it is the greedy word
+      of R(n) that synthesis stores.
+
+    So a file loads if and only if it equals ``to_json_dict(synthesize(a))``,
+    and the spec is built from its words, one ``ZClass`` per b.  Otherwise
+    the first differing field (z, then tail, then an extra one) is named,
+    and for z and tail the smallest differing key.
     """
     try:
         a, m_per = (_json_int(data[name], name) for name in ("a", "M"))
@@ -820,45 +840,82 @@ def from_json_dict(data: dict) -> PatternSpec:
         raise DomainError("need a >= 2, M >= 1 and at least one admissible residue")
     if len(tail) != len(residues):
         raise DomainError("the tail table is not the size of the z table")
-    _check_residues(a, m_per, residues)
+    units = _residue_units(a, m_per, residues)
     _check_words(a, m_per, data["z"], data["tail"])
 
-    spec = synthesize(a)
-    want = to_json_dict(spec)
-    if data != want:
-        name = next(k for k in [*want, *data] if _differs(data, want, k))
-        where = f"field {name!r}"
-        if name in ("z", "tail"):
-            got, expected = data[name], want[name]
-            key = min(
-                (k for k in got.keys() | expected.keys() if _differs(got, expected, k)),
-                key=int,
-            )
-            where += f" at key {key!r}"
-        raise DomainError(f"pattern for a={a} differs from the synthesized spec in {where}")
-    return spec
+    i0 = _i0(a)
+    fibs = _fib_table(i0 + m_per)  # up to F_(M+2) and the F_(n-1) of _remainders
+    z: dict[int, ZClass] = {}
+    classes: dict[int, ZClass] = {}  # b -> its class, once its word is checked
+    for r in sorted(residues):
+        entry, b = data["z"][str(r)], units.get(r)
+        if b is None or entry["b"] != b or len(entry) != 2:
+            raise _mismatch(a, "z", r)
+        word = entry["period_bits"]
+        zc = classes.get(b)
+        if zc is None or zc.period != word:
+            value = _word_value(word, m_per + 1, fibs)
+            if value is None or a * value != b * (fibs[m_per + 2] - 1):
+                raise _mismatch(a, "z", r)
+            zc = classes[b] = ZClass(b, word)
+        z[r] = zc
+
+    remainder = {r: value for _, r, value in _remainders(a, i0, m_per, z, fibs)}
+    tails: dict[int, str] = {}
+    for r in z:
+        word = data["tail"][str(r)]
+        # The z digit at position i0 of every n in r's class.
+        junction = z[r].period[(r - i0 - 1) % m_per]
+        if (
+            word[-1] != "0"
+            or (junction == "1" and word[0] == "1")
+            or _word_value(word, i0 - 1, fibs) != remainder[r]
+        ):
+            raise _mismatch(a, "tail", r)
+        tails[r] = word
+
+    extra = next((name for name in data if name not in ("a", "M", "z", "tail")), None)
+    if extra is not None:
+        raise _mismatch(a, extra)
+    return PatternSpec(a=a, M=m_per, z=z, tail=tails)
 
 
-def _differs(got: Mapping, want: Mapping, key: str) -> bool:
-    return key not in got or key not in want or got[key] != want[key]
+def _word_value(word: str, top: int, fibs: list[int]) -> int | None:
+    """The sum of F_i over the 1-digits of ``word``, whose first character
+    is position ``top``; None unless it has only 0/1 digits and no "11"."""
+    if word.count("0") + word.count("1") != len(word) or "11" in word:
+        return None
+    return sum(compress(fibs[top : top - len(word) : -1], _bits(word)))
 
 
-def _check_residues(a: int, m_per: int, residues: set[int]) -> None:
-    """Check that ``residues`` are exactly the r in [0, M) with
-    gcd(a, F_r) = 1 and that M is the Pisano period of a.
+def _mismatch(a: int, name: object, key: int | None = None) -> DomainError:
+    where = f"field {name!r}" if key is None else f"field {name!r} at key {str(key)!r}"
+    return DomainError(f"pattern for a={a} differs from the canonical spec in {where}")
+
+
+def _residue_units(a: int, m_per: int, residues: set[int]) -> dict[int, int]:
+    """Map each admissible residue r to b_r = -F_r^-1 mod a, checking that
+    ``residues`` holds exactly the r in [0, M) with gcd(a, F_r) = 1 and
+    that M is the Pisano period of a.
 
     One pass over ``fib_residues(a)`` that stops after M steps, at the end
     of the period, or at the first mislabelled residue, so the file's M
-    bounds the walk and a claimed M far too large costs little.
+    bounds the walk and a claimed M far too large costs little.  A key
+    outside [0, M) gets no b, and the z check refuses it.
     """
     walk = fib_residues(a)
+    units: dict[int, int] = {}
     steps = 0
     for f in islice(walk, m_per):
-        if (math.gcd(a, f) == 1) != (steps in residues):
+        unit = math.gcd(a, f) == 1
+        if unit != (steps in residues):
             raise DomainError(f"admissibility of residue {steps} mislabeled")
+        if unit:
+            units[steps] = -pow(f, -1, a) % a
         steps += 1
     if steps != m_per or next(walk, None) is not None:
         raise DomainError(f"M={m_per} is not the Pisano period of a={a}")
+    return units
 
 
 def _check_words(a: int, m_per: int, z: dict, tail: dict) -> None:
@@ -930,9 +987,12 @@ def load_pattern(path: str) -> PatternSpec:
     """Read a pattern file and return its spec, by ``from_json_dict``.
 
     The file must hold exactly the canonical spec of its ``a``, so a file
-    that ``save_pattern`` left half written is refused.  An unreadable
-    file, bad UTF-8 or bad JSON, like any file that is not the canonical
-    spec, is a ``DomainError``; loading costs one synthesis.
+    that ``save_pattern`` left half written is refused.  The check is
+    exact without synthesis: each word has no "11" and sums to the value
+    its identity fixes, so by Zeckendorf's uniqueness it is the word that
+    synthesis derives (``from_json_dict``).  An unreadable file, bad UTF-8
+    or bad JSON, like any file that is not the canonical spec, is a
+    ``DomainError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

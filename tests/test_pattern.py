@@ -949,6 +949,50 @@ def test_json_round_trip(spec3):
     assert s1 == s2
 
 
+def _must_not_run(*args):
+    raise AssertionError("the loader called a patched-out step")
+
+
+def test_from_json_round_trips_without_synthesis(monkeypatch):
+    # The loader checks the words against their identities: it never walks
+    # an orbit, yet builds exactly the synthesized spec.
+    specs = [*(_spec(a) for a in range(2, 301)), synthesize(1000), synthesize(2017)]
+    monkeypatch.setattr(zeckinv.pattern, "synthesize", _must_not_run)
+    monkeypatch.setattr(zeckinv.pattern, "_orbit", _must_not_run)
+    for spec in specs:
+        assert from_json_dict(to_json_dict(spec)) == spec, spec.a
+
+
+@pytest.mark.parametrize("a", [2, 7, 30, 137])
+def test_from_json_refuses_every_single_digit_flip(a):
+    # By Zeckendorf's uniqueness one sum decides each word, so no other
+    # word of the right length passes, whichever digit is flipped.
+    spec = _spec(a)
+    r = sorted(spec.z)[len(spec.z) // 2]
+    for name in ("z", "tail"):
+        word = spec.z[r].period if name == "z" else spec.tail[r]
+        for j in range(len(word)):
+            data = to_json_dict(spec)
+            flipped = word[:j] + "10"[int(word[j])] + word[j + 1 :]
+            if name == "z":
+                data["z"][str(r)]["period_bits"] = flipped
+            else:
+                data["tail"][str(r)] = flipped
+            with pytest.raises(DomainError, match=f"'{name}' at key '{r}'"):
+                from_json_dict(data)
+
+
+@pytest.mark.parametrize("word", ["100001", "011010"])
+def test_from_json_refuses_a_non_zeckendorf_word_of_the_right_value(spec3, word):
+    # Each sums to the value of the stored word, F_6 + F_2: the first as
+    # F_1 = F_2 with position 1 in use, the second as F_6 = F_5 + F_4.
+    data = to_json_dict(spec3)
+    assert data["tail"]["3"] == "100010"
+    data["tail"]["3"] = word
+    with pytest.raises(DomainError, match="'tail' at key '3'"):
+        from_json_dict(data)
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_save_pattern_refuses_unwritable_path(tmp_path, spec2, where):
     path = tmp_path / "absent" / "p.json" if where == "missing-directory" else tmp_path
@@ -1039,6 +1083,10 @@ def test_from_json_rejects_tampered_z(spec2):
     data = to_json_dict(spec2)
     del data["z"]["2"]  # admissible residue now missing
     with pytest.raises(DomainError):
+        from_json_dict(data)
+    data = to_json_dict(spec2)
+    data["z"]["1"]["comment"] = "x"
+    with pytest.raises(DomainError, match="'z' at key '1'"):
         from_json_dict(data)
 
 
@@ -1581,8 +1629,8 @@ def test_from_json_rejects_coerced_entries(spec2):
 
 
 def test_from_json_rejects_huge_tail_period_quickly(spec2):
-    # tail_period is an extra field; the file is refused after one
-    # synthesis of a = 2, whatever the value.
+    # tail_period is an extra field; the file is refused after the words
+    # of a = 2 are checked, whatever the value.
     text = json.dumps(tampered(spec2, tail_period=3 * 10**6), sort_keys=True, indent=2)
     assert len(text) < 400
     t0 = time.perf_counter()
@@ -1621,10 +1669,10 @@ def test_from_json_rejects_multiple_of_pisano_period(spec2):
 def test_from_json_refuses_tail_table_sized_unlike_z_before_synthesis(spec2, monkeypatch):
     # The real z table of a = 2 and its tail table repeated over 6
     # residues: M is right, but the tail table has two entries per residue.
-    def no_synthesis(a):
-        raise AssertionError("synthesize ran")
-
-    monkeypatch.setattr(zeckinv.pattern, "synthesize", no_synthesis)
+    # The Fibonacci table that the word sums and the oracle walk read is
+    # the loader's first costly step.
+    monkeypatch.setattr(zeckinv.pattern, "_fib_table", _must_not_run)
+    monkeypatch.setattr(zeckinv.pattern, "_oracle_walk", _must_not_run)
     data = to_json_dict(spec2)
     data["tail"] = {str(c): data["tail"][str(c % 3)] for c in (1, 2, 4, 5)}
     with pytest.raises(DomainError, match="tail table"):
@@ -1633,13 +1681,11 @@ def test_from_json_refuses_tail_table_sized_unlike_z_before_synthesis(spec2, mon
 
 def test_from_json_refuses_short_words_before_synthesis(spec7, monkeypatch):
     # Keys, b values, table sizes and M of a = 2503 (M = 5008) are all
-    # right, but every period and tail word is "0": synthesis of such a
-    # file would cost far more than its size, so the word lengths are
+    # right, but every period and tail word is "0": checking the words of
+    # such a file would cost far more than its size, so their lengths are
     # checked first.  The same check refuses a short or non-string tail word.
-    def no_synthesis(a):
-        raise AssertionError("synthesize ran")
-
-    monkeypatch.setattr(zeckinv.pattern, "synthesize", no_synthesis)
+    monkeypatch.setattr(zeckinv.pattern, "_fib_table", _must_not_run)
+    monkeypatch.setattr(zeckinv.pattern, "_oracle_walk", _must_not_run)
     a = 2503
     fs = list(fib_residues(a))
     z = {
