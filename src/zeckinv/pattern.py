@@ -216,20 +216,23 @@ def _bits(word: str) -> bytes:
 
 
 def _remainders(
-    a: int, i0: int, m_per: int, z: Mapping[int, ZClass], fibs: list[int]
+    a: int, i0: int, m_per: int, width: int, z: Mapping[int, ZClass], fibs: list[int]
 ) -> Iterator[tuple[int, int, int]]:
-    """Yield (n, r, R(n)) from the oracle at the first n >= n0 of each
-    residue r of ``z``, in n order, along one ``_oracle_walk`` of
-    [n0, n0 + M - 1]; gcd(a, F_n) = gcd(a, F_r) for r = n mod M, so it
-    meets exactly the admissible residues.  R(n) is the oracle's
-    (a^-1 mod F_n) less the z part: position i in [i0, n-1] carries
-    period digit n-1-i and n - i0 <= M, so that part is a ``compress``
-    sum over the reversed slice F_(n-1), ..., F_i0 of ``fibs``, which the
-    oracle does not read.
+    """Yield (n, r, R(n)) from the oracle for each admissible n of the
+    window [n0, n0 + width - 1], width <= M, with r = n mod M, in n order,
+    along one ``_oracle_walk``; gcd(a, F_n) = gcd(a, F_r), so it meets
+    exactly the admissible residues of the window.  Each n is the first
+    n >= n0 of its residue: width M covers every residue, the cross-check
+    of ``synthesize``, and width alpha every class of the tail table,
+    which repeats with period alpha (``from_json_dict``).  R(n) is the
+    oracle's (a^-1 mod F_n) less the z part: position i in [i0, n-1]
+    carries period digit n-1-i and n - i0 <= M, so that part is a
+    ``compress`` sum over the reversed slice F_(n-1), ..., F_i0 of
+    ``fibs``, which the oracle does not read.
     """
     n0 = i0 + 1
-    walk = _oracle_walk(a, n0, n0 + m_per - 1)
-    for n, (g, inv, _, _) in zip(range(n0, n0 + m_per), walk):
+    walk = _oracle_walk(a, n0, n0 + width - 1)
+    for n, (g, inv, _, _) in zip(range(n0, n0 + width), walk):
         if g == 1:
             r = n % m_per
             z_part = compress(fibs[n - 1 : i0 - 1 : -1], _bits(z[r].period[: n - i0]))
@@ -431,7 +434,7 @@ def synthesize(a: int) -> PatternSpec:
             for j, zc in zip(range(0, m_per, alpha), classes):
                 s = (r - j) % m_per
                 z[s], tail[s], values[s] = zc, word, value
-    for n, r, value in _remainders(a, i0, m_per, z, fibs):
+    for n, r, value in _remainders(a, i0, m_per, m_per, z, fibs):
         if values[r] != value:
             raise SynthesisError(
                 f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
@@ -804,25 +807,46 @@ def from_json_dict(data: dict) -> PatternSpec:
     """Load a spec, which must be exactly the canonical spec of its ``a``.
 
     The file holds only a, M, z and tail.  Cheap checks come first:
-    field types, canonical table keys, equal table sizes, M == pi(a) and
-    the admissible residues by one walk that the file's M bounds
-    (``_residue_units``), and the keys and lengths of the words
-    (``_check_words``).  Then, with no orbit walk, one sum decides each
-    word, as a word of 0/1 digits with no "11" over positions >= 2 is the
-    Zeckendorf code of its value:
+    field types, canonical table keys, equal table sizes, M == pi(a), the
+    admissible residues and alpha, the least j >= 1 with a | F_j, by one
+    walk that the file's M bounds (``_residue_units``), and the keys and
+    lengths of the words (``_check_words``).  Then, with no orbit walk,
+    the z words and then the tail words are checked residue by residue in
+    sorted order, each against a word already checked or against one sum.
+
+    Below alpha one sum decides each word, as a word of 0/1 digits with
+    no "11" over positions >= 2 is the Zeckendorf code of its value:
 
     * z: residue r holds b = b_r = -F_r^-1 mod a, and the word of b, over
       positions M+1 down to 2, sums to N_b = b (F_(M+2) - 1)/a, so it is
-      encode(N_b), the digit period of b/a that synthesis walks (``_orbit``);
+      encode(N_b), the digit period of b/a that synthesis walks
+      (``_orbit``); one sum serves each distinct b;
     * tail: the word of r leaves position 1 unused, keeps the junction
-      free of "11" and sums to R(n) at the first n >= n0 of r's class
-      (``_remainders``, synthesis's cross-check), so it is the greedy word
-      of R(n) that synthesis stores.
+      free of "11" and sums to R(n) at the n in [n0, n0 + alpha - 1] with
+      n = r (mod alpha), so it is the greedy word of that value.
+
+    From alpha on, ``_orbit`` ("Which class" and "Same tail") fixes each
+    word by the one alpha below: residue r - alpha carries r's period
+    word rotated by alpha, and r's tail word.  r - alpha is admissible,
+    as F_r = F_(alpha-1) F_(r-alpha) (mod a) with F_(alpha-1) a unit
+    (gcd(F_(alpha-1), F_alpha) = 1), and sorted order has checked it, so
+
+    * z: residue r holds b = b_r and the word w[M-alpha:] + w[:M-alpha],
+      w the word of r - alpha;
+    * tail: the word of r is the tail word of r - alpha, whose junction
+      digit, z digit (r - i0 - 1) mod M of the rotated word, is r's too.
+
+    So the tail table repeats with period alpha, and the value of the
+    tail word of residue r, R at the first n >= n0 of r's class, depends
+    only on r mod alpha.  Admissibility repeats with period alpha too (by
+    the congruence above), so one ``_remainders`` walk of the alpha values
+    [n0, n0 + alpha - 1] of n gives the value of every class.
 
     So a file loads if and only if it equals ``to_json_dict(synthesize(a))``,
     and the spec is built from its words, one ``ZClass`` per b.  Otherwise
     the first differing field (z, then tail, then an extra one) is named,
-    and for z and tail the smallest differing key.
+    and for z and tail the smallest differing key: each residue's check
+    reads only words of smaller residues, which sorted order has passed.
     """
     try:
         a, m_per = (_json_int(data[name], name) for name in ("a", "M"))
@@ -840,7 +864,7 @@ def from_json_dict(data: dict) -> PatternSpec:
         raise DomainError("need a >= 2, M >= 1 and at least one admissible residue")
     if len(tail) != len(residues):
         raise DomainError("the tail table is not the size of the z table")
-    units = _residue_units(a, m_per, residues)
+    units, alpha = _residue_units(a, m_per, residues)
     _check_words(a, m_per, data["z"], data["tail"])
 
     i0 = _i0(a)
@@ -853,24 +877,34 @@ def from_json_dict(data: dict) -> PatternSpec:
             raise _mismatch(a, "z", r)
         word = entry["period_bits"]
         zc = classes.get(b)
-        if zc is None or zc.period != word:
+        if r >= alpha:
+            below = z[r - alpha].period
+            if word != below[m_per - alpha :] + below[: m_per - alpha]:
+                raise _mismatch(a, "z", r)
+        elif zc is None or zc.period != word:
             value = _word_value(word, m_per + 1, fibs)
             if value is None or a * value != b * (fibs[m_per + 2] - 1):
                 raise _mismatch(a, "z", r)
+        if zc is None:
             zc = classes[b] = ZClass(b, word)
         z[r] = zc
 
-    remainder = {r: value for _, r, value in _remainders(a, i0, m_per, z, fibs)}
+    # R at the first n >= n0 of each class mod alpha.
+    remainder = {n % alpha: value for n, _, value in _remainders(a, i0, m_per, alpha, z, fibs)}
     tails: dict[int, str] = {}
-    for r in z:
+    for r, zc in z.items():  # in sorted order
         word = data["tail"][str(r)]
-        # The z digit at position i0 of every n in r's class.
-        junction = z[r].period[(r - i0 - 1) % m_per]
-        if (
-            word[-1] != "0"
-            or (junction == "1" and word[0] == "1")
-            or _word_value(word, i0 - 1, fibs) != remainder[r]
-        ):
+        if r >= alpha:
+            ok = word == tails[r - alpha]
+        else:
+            # The z digit at position i0 of every n in r's class.
+            junction = zc.period[(r - i0 - 1) % m_per]
+            ok = (
+                word[-1] == "0"
+                and not (junction == "1" and word[0] == "1")
+                and _word_value(word, i0 - 1, fibs) == remainder[r]
+            )
+        if not ok:
             raise _mismatch(a, "tail", r)
         tails[r] = word
 
@@ -893,10 +927,11 @@ def _mismatch(a: int, name: object, key: int | None = None) -> DomainError:
     return DomainError(f"pattern for a={a} differs from the canonical spec in {where}")
 
 
-def _residue_units(a: int, m_per: int, residues: set[int]) -> dict[int, int]:
+def _residue_units(a: int, m_per: int, residues: set[int]) -> tuple[dict[int, int], int]:
     """Map each admissible residue r to b_r = -F_r^-1 mod a, checking that
     ``residues`` holds exactly the r in [0, M) with gcd(a, F_r) = 1 and
-    that M is the Pisano period of a.
+    that M is the Pisano period of a; also return alpha, the least r >= 1
+    with a | F_r (M when no r in [1, M) has it, as a | F_M).
 
     One pass over ``fib_residues(a)`` that stops after M steps, at the end
     of the period, or at the first mislabelled residue, so the file's M
@@ -905,6 +940,7 @@ def _residue_units(a: int, m_per: int, residues: set[int]) -> dict[int, int]:
     """
     walk = fib_residues(a)
     units: dict[int, int] = {}
+    alpha = m_per
     steps = 0
     for f in islice(walk, m_per):
         unit = math.gcd(a, f) == 1
@@ -912,10 +948,12 @@ def _residue_units(a: int, m_per: int, residues: set[int]) -> dict[int, int]:
             raise DomainError(f"admissibility of residue {steps} mislabeled")
         if unit:
             units[steps] = -pow(f, -1, a) % a
+        elif not f and 0 < steps < alpha:
+            alpha = steps
         steps += 1
     if steps != m_per or next(walk, None) is not None:
         raise DomainError(f"M={m_per} is not the Pisano period of a={a}")
-    return units
+    return units, alpha
 
 
 def _check_words(a: int, m_per: int, z: dict, tail: dict) -> None:
@@ -988,11 +1026,14 @@ def load_pattern(path: str) -> PatternSpec:
 
     The file must hold exactly the canonical spec of its ``a``, so a file
     that ``save_pattern`` left half written is refused.  The check is
-    exact without synthesis: each word has no "11" and sums to the value
-    its identity fixes, so by Zeckendorf's uniqueness it is the word that
-    synthesis derives (``from_json_dict``).  An unreadable file, bad UTF-8
-    or bad JSON, like any file that is not the canonical spec, is a
-    ``DomainError``.
+    exact without synthesis (``from_json_dict``): below alpha, the least
+    j >= 1 with a | F_j, each word has no "11" and sums to the value its
+    identity fixes, so by Zeckendorf's uniqueness it is the word that
+    synthesis derives; from alpha on, each word must be the checked word
+    of the residue alpha below, rotated by alpha for a period word and
+    unchanged for a tail word, as ``_orbit`` proves.  An unreadable file,
+    bad UTF-8 or bad JSON, like any file that is not the canonical spec,
+    is a ``DomainError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

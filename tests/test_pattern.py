@@ -993,6 +993,97 @@ def test_from_json_refuses_a_non_zeckendorf_word_of_the_right_value(spec3, word)
         from_json_dict(data)
 
 
+def _alpha(a):
+    """The least j >= 1 with a | F_j."""
+    fs = list(fib_residues(a))
+    return (fs + [0]).index(0, 1)
+
+
+def _flip_first(word):
+    return "10"[int(word[0])] + word[1:]
+
+
+def test_from_json_names_the_smallest_key_across_alpha_and_n0():
+    # a = 30: residue 13 = n0 comes first along the oracle walk and is below
+    # alpha, yet residue 1 is the smaller key.
+    spec = _spec(30)
+    assert (spec.M, _alpha(30), spec.n0) == (120, 60, 13)
+
+    def damaged(z_keys, tail_keys):
+        data = to_json_dict(spec)
+        for key in z_keys:
+            entry = data["z"][key]
+            entry["period_bits"] = _flip_first(entry["period_bits"])
+        for key in tail_keys:
+            data["tail"][key] = _flip_first(data["tail"][key])
+        return data
+
+    for name, data in (("z", damaged(["1", "13"], [])), ("tail", damaged([], ["1", "13"]))):
+        with pytest.raises(DomainError, match=f"'{name}' at key '1'$"):
+            from_json_dict(data)
+    # Every z word is checked before any tail word.
+    with pytest.raises(DomainError, match="'z' at key '13'$"):
+        from_json_dict(damaged(["13"], ["1"]))
+
+
+@pytest.mark.parametrize("a", [30, 137, 2017])
+def test_from_json_refuses_canonical_words_at_the_wrong_residue(a):
+    # Each word is one the canonical spec holds, at a residue r >= alpha
+    # that should carry another: r's words are fixed by those of r - alpha.
+    spec = _spec(a)
+    alpha = _alpha(a)
+    assert spec.M // alpha in (2, 4)
+    above = [r for r in sorted(spec.z) if r >= alpha]
+    for r in (above[0], above[-1]):
+        # The word of r - alpha, not rotated by alpha.
+        word = spec.z[r - alpha].period
+        assert word != spec.z[r].period
+        data = to_json_dict(spec)
+        data["z"][str(r)]["period_bits"] = word
+        with pytest.raises(DomainError, match=f"'z' at key '{r}'$"):
+            from_json_dict(data)
+        # The tail word of a residue of another class mod alpha.
+        s = next(
+            s for s in sorted(spec.z)
+            if s < alpha and s != r % alpha and spec.tail[s] != spec.tail[r]
+        )
+        data = to_json_dict(spec)
+        data["tail"][str(r)] = spec.tail[s]
+        with pytest.raises(DomainError, match=f"'tail' at key '{r}'$"):
+            from_json_dict(data)
+
+
+@pytest.mark.parametrize("a, classes", [(11, 1), (30, 2), (137, 4), (2017, 4)])
+def test_from_json_sums_words_below_alpha_along_one_walk_of_alpha(a, classes, monkeypatch):
+    # M / alpha = classes.  Only the residues below alpha cost sums, one
+    # per distinct b for the period words, and one oracle walk of alpha
+    # values of n gives every tail value.
+    spec = _spec(a)
+    alpha = _alpha(a)
+    assert spec.M == classes * alpha
+    walked, period_sums, tail_sums = [], [], []
+
+    def counted_walk(a_, lo, hi):
+        walked.append(0)
+        for item in _oracle_walk(a_, lo, hi):
+            walked[-1] += 1
+            yield item
+
+    word_value = zeckinv.pattern._word_value
+
+    def counted_value(word, top, fibs):
+        (period_sums if top == spec.M + 1 else tail_sums).append(word)
+        return word_value(word, top, fibs)
+
+    monkeypatch.setattr(zeckinv.pattern, "_oracle_walk", counted_walk)
+    monkeypatch.setattr(zeckinv.pattern, "_word_value", counted_value)
+    assert from_json_dict(to_json_dict(spec)) == spec
+    assert walked == [alpha]
+    below = [r for r in spec.z if r < alpha]
+    assert sorted(period_sums) == sorted({spec.z[r].period for r in below})
+    assert sorted(tail_sums) == sorted(spec.tail[r] for r in below)
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_save_pattern_refuses_unwritable_path(tmp_path, spec2, where):
     path = tmp_path / "absent" / "p.json" if where == "missing-directory" else tmp_path
