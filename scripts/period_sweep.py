@@ -27,6 +27,7 @@ from multiprocessing import Pool
 from pathlib import Path
 
 from zeckinv import PatternSpec, synthesize, verify
+from zeckinv.bigfib import fib_residues
 
 A_MAX = 1000
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "period_sweep.json"
@@ -35,22 +36,13 @@ OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "period_sweep.
 def cycle_count(spec: PatternSpec) -> int:
     """Number of digit-orbit cycles the b_r/a of ``spec`` lie on.
 
-    Walks each cycle once with the integer digit step
-    (p, q) -> (q - a*d, p + q) and marks every b' whose state (b', 0) it
-    passes.
+    Each cycle holds exactly M/alpha distinct class starts b, with alpha
+    the least j >= 1 with a | F_j, and every b_r is one of them
+    (``zeckinv.pattern._orbit``), so the count is the number of distinct
+    b times alpha/M.
     """
-    seen: set[int] = set()
-    count = 0
-    for zc in spec.z.values():
-        if zc.b in seen:
-            continue
-        count += 1
-        p, q = zc.b, 0
-        for ch in zc.period:
-            if q == 0:
-                seen.add(p)
-            p, q = q - spec.a * int(ch), p + q
-    return count
+    alpha = next((j for j, f in enumerate(fib_residues(spec.a)) if j and not f), spec.M)
+    return len({zc.b for zc in spec.z.values()}) * alpha // spec.M
 
 
 def row(a: int) -> dict[str, int]:

@@ -17,7 +17,6 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import partial
-from itertools import compress
 
 from .basephi import expand
 from .bigfib import _fib_table, pisano
@@ -33,6 +32,7 @@ from .pattern import (
     _i0,
     _inverse_at,
     _pattern_text,
+    _word_value,
     _write_pattern,
     evaluate,
     load_pattern,
@@ -140,11 +140,9 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         )
         for r, zc in sorted(spec.z.items()):
             print(f"z[{r}]: b={zc.b} period={zc.period}")
-        # F_(i0-1), ..., F_1: the weight of each character of a tail word.
-        weights = _fib_table(spec.i0)[spec.i0 - 1 : 0 : -1]
+        fibs = _fib_table(spec.i0)
         for c, word in sorted(spec.tail.items()):
-            value = sum(compress(weights, map("1".__eq__, word)))
-            print(f"tail[{c}]: {word} (={value})")
+            print(f"tail[{c}]: {word} (={_word_value(word, spec.i0 - 1, fibs)})")
         inadm = ",".join(str(r) for r in sorted(spec.inadmissible))
         print(f"inadmissible residues mod {spec.M}: {inadm or 'none'}")
         if args.out:

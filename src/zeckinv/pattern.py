@@ -146,6 +146,8 @@ class PatternSpec:
     tail: Mapping[int, str]
 
     def __post_init__(self) -> None:
+        if self.M < 1:  # every residue is taken mod M
+            raise DomainError(f"need M >= 1, got M={self.M}")
         object.__setattr__(self, "z", MappingProxyType(dict(self.z)))
         object.__setattr__(self, "tail", MappingProxyType(dict(self.tail)))
 
@@ -391,10 +393,10 @@ def synthesize(a: int) -> PatternSpec:
     b.  Its classes start at the steps j that alpha divides: b'/a has the
     digits per[j:] + per[:j], and its residues are r - j for the r with
     b_r = b, each with r's tail (``_orbit``).  So ``_tail`` runs once per
-    residue of b, and the cycle's states are dropped once it is done.
-    Once every cycle is walked, each tail value is cross-checked against
-    the big-integer oracle at the first n >= n0 in r's class
-    (``_remainders``).
+    residue of b, one value and word per class mod alpha, and the cycle's
+    states are dropped once it is done.  Then the oracle's R at the first
+    n >= n0 of each of the M residues (``_remainders``) is checked against
+    the value of its class, and each residue gets its class's word.
     """
     if a < 2:
         raise DomainError(f"need a >= 2, got {a}")
@@ -402,16 +404,17 @@ def synthesize(a: int) -> PatternSpec:
     fs = list(fib_residues(a))
     m_per = len(fs)
     residues_of: dict[int, list[int]] = {}  # b -> the residues r with b_r = b
-    # z and tail take their keys in residue order, which the sorts of the
-    # canonical text then find already in order; each cycle fills its values.
+    # z, and the tail table built from it, take their keys in residue order,
+    # in which the string sort of the canonical text finds one ascending run
+    # per decimal length; each cycle fills the values.
     z: dict[int, ZClass | None] = {}
-    tail: dict[int, str | None] = {}
-    values: dict[int, int] = {}  # r -> R(n) at the first n >= n0 in r's class
     for r, f in enumerate(fs):
         if math.gcd(a, f) == 1:
             residues_of.setdefault(-pow(f, -1, a) % a, []).append(r)
-            z[r] = tail[r] = None
+            z[r] = None
     alpha = (fs + [0]).index(0, 1)  # the least j >= 1 with a | F_j
+    # r mod alpha -> the tail value and word of that class (``_orbit``).
+    canon: dict[int, tuple[int, str]] = {}
     i0 = _i0(a)
     n0 = i0 + 1  # PatternSpec.n0; every n < n0 + M has n - i0 <= M
 
@@ -430,15 +433,15 @@ def synthesize(a: int) -> PatternSpec:
         _check_period(a, b, per)
         classes = [ZClass(qs[j + 1], per[j:] + per[:j]) for j in range(0, m_per, alpha)]
         for r in residues_of[b]:
-            value, word = _tail(a, i0, per, qs, (r - i0) % m_per, fibs)
+            canon[r % alpha] = _tail(a, i0, per, qs, (r - i0) % m_per, fibs)
             for j, zc in zip(range(0, m_per, alpha), classes):
-                s = (r - j) % m_per
-                z[s], tail[s], values[s] = zc, word, value
+                z[(r - j) % m_per] = zc
     for n, r, value in _remainders(a, i0, m_per, m_per, z, fibs):
-        if values[r] != value:
+        if canon[r % alpha][0] != value:
             raise SynthesisError(
                 f"orbit remainder disagrees with exact remainder at a={a}, n={n}"
             )
+    tail = {r: canon[r % alpha][1] for r in z}
     return PatternSpec(a=a, M=m_per, z=z, tail=tail)
 
 
@@ -811,42 +814,38 @@ def from_json_dict(data: dict) -> PatternSpec:
     admissible residues and alpha, the least j >= 1 with a | F_j, by one
     walk that the file's M bounds (``_residue_units``), and the keys and
     lengths of the words (``_check_words``).  Then, with no orbit walk,
-    the z words and then the tail words are checked residue by residue in
-    sorted order, each against a word already checked or against one sum.
+    the words are checked residue by residue in sorted order: the z words,
+    each against a word already checked or against one sum, and then the
+    tail words, each against the one tail word of its class mod alpha.
 
-    Below alpha one sum decides each word, as a word of 0/1 digits with
-    no "11" over positions >= 2 is the Zeckendorf code of its value:
+    z.  Below alpha one sum decides each word, as a word of 0/1 digits
+    with no "11" over positions >= 2 is the Zeckendorf code of its value:
+    residue r holds b = b_r = -F_r^-1 mod a, and the word of b, over
+    positions M+1 down to 2, sums to N_b = b (F_(M+2) - 1)/a, so it is
+    encode(N_b), the digit period of b/a that synthesis walks
+    (``_orbit``); one sum serves each distinct b.  From alpha on,
+    ``_orbit`` ("Which class") fixes each word by the one alpha below:
+    residue r - alpha carries r's period word rotated by alpha.
+    r - alpha is admissible, as F_r = F_(alpha-1) F_(r-alpha) (mod a) with
+    F_(alpha-1) a unit (gcd(F_(alpha-1), F_alpha) = 1), and sorted order
+    has checked it, so residue r holds b = b_r and the word
+    w[M-alpha:] + w[:M-alpha], w the word of r - alpha.
 
-    * z: residue r holds b = b_r = -F_r^-1 mod a, and the word of b, over
-      positions M+1 down to 2, sums to N_b = b (F_(M+2) - 1)/a, so it is
-      encode(N_b), the digit period of b/a that synthesis walks
-      (``_orbit``); one sum serves each distinct b;
-    * tail: the word of r leaves position 1 unused, keeps the junction
-      free of "11" and sums to R(n) at the n in [n0, n0 + alpha - 1] with
-      n = r (mod alpha), so it is the greedy word of that value.
-
-    From alpha on, ``_orbit`` ("Which class" and "Same tail") fixes each
-    word by the one alpha below: residue r - alpha carries r's period
-    word rotated by alpha, and r's tail word.  r - alpha is admissible,
-    as F_r = F_(alpha-1) F_(r-alpha) (mod a) with F_(alpha-1) a unit
-    (gcd(F_(alpha-1), F_alpha) = 1), and sorted order has checked it, so
-
-    * z: residue r holds b = b_r and the word w[M-alpha:] + w[:M-alpha],
-      w the word of r - alpha;
-    * tail: the word of r is the tail word of r - alpha, whose junction
-      digit, z digit (r - i0 - 1) mod M of the rotated word, is r's too.
-
-    So the tail table repeats with period alpha, and the value of the
-    tail word of residue r, R at the first n >= n0 of r's class, depends
-    only on r mod alpha.  Admissibility repeats with period alpha too (by
-    the congruence above), so one ``_remainders`` walk of the alpha values
-    [n0, n0 + alpha - 1] of n gives the value of every class.
+    tail.  By ``_orbit`` ("Same tail") the tail table repeats with period
+    alpha, and so does admissibility (by the congruence above), so one
+    ``_remainders`` walk of the alpha values [n0, n0 + alpha - 1] of n
+    gives R at the first n >= n0 of every class mod alpha.  Residue r must
+    hold the word synthesis spells for its class, the greedy word of that
+    R (``_greedy_word``), which must keep the junction (z digit
+    (r - i0 - 1) mod M of r's word, then the word's first) free of "11",
+    as the module docstring proves it does.
 
     So a file loads if and only if it equals ``to_json_dict(synthesize(a))``,
     and the spec is built from its words, one ``ZClass`` per b.  Otherwise
     the first differing field (z, then tail, then an extra one) is named,
-    and for z and tail the smallest differing key: each residue's check
-    reads only words of smaller residues, which sorted order has passed.
+    and for z and tail the smallest differing key: each z check reads only
+    words of smaller residues, which sorted order has passed, and each
+    tail check only the checked z table.
     """
     try:
         a, m_per = (_json_int(data[name], name) for name in ("a", "M"))
@@ -889,22 +888,17 @@ def from_json_dict(data: dict) -> PatternSpec:
             zc = classes[b] = ZClass(b, word)
         z[r] = zc
 
-    # R at the first n >= n0 of each class mod alpha.
-    remainder = {n % alpha: value for n, _, value in _remainders(a, i0, m_per, alpha, z, fibs)}
+    # The greedy word of R at the first n >= n0 of each class mod alpha.
+    canon = {
+        n % alpha: _greedy_word(value, i0, fibs)
+        for n, _, value in _remainders(a, i0, m_per, alpha, z, fibs)
+    }
     tails: dict[int, str] = {}
     for r, zc in z.items():  # in sorted order
         word = data["tail"][str(r)]
-        if r >= alpha:
-            ok = word == tails[r - alpha]
-        else:
-            # The z digit at position i0 of every n in r's class.
-            junction = zc.period[(r - i0 - 1) % m_per]
-            ok = (
-                word[-1] == "0"
-                and not (junction == "1" and word[0] == "1")
-                and _word_value(word, i0 - 1, fibs) == remainder[r]
-            )
-        if not ok:
+        # The z digit at position i0 of every n in r's class mod M.
+        junction = zc.period[(r - i0 - 1) % m_per]
+        if word != canon[r % alpha] or (junction == "1" and word[0] == "1"):
             raise _mismatch(a, "tail", r)
         tails[r] = word
 
@@ -960,10 +954,12 @@ def _check_words(a: int, m_per: int, z: dict, tail: dict) -> None:
     """Check that the tail keys are the z keys, that each ``period_bits``
     is a string of M characters and each tail word one of i0 - 1.
 
-    Synthesis costs about M steps per digit cycle, so a file of short words
-    could ask for far more work than its size; with these lengths checked
-    the file is at least as large as that work.  The smallest offending key
-    is named, key mismatches first, then ``z``, then ``tail``.
+    Loading costs the Fibonacci table up to F_(i0+M) and about M
+    big-integer additions per distinct b for the period-word sums, so a
+    file of short words could ask for far more work than its size; with
+    these lengths checked it holds M + i0 - 1 digits per residue.  The
+    smallest offending key is named, key mismatches first, then ``z``,
+    then ``tail``.
     """
     odd = z.keys() ^ tail.keys()
     if odd:
@@ -1026,14 +1022,15 @@ def load_pattern(path: str) -> PatternSpec:
 
     The file must hold exactly the canonical spec of its ``a``, so a file
     that ``save_pattern`` left half written is refused.  The check is
-    exact without synthesis (``from_json_dict``): below alpha, the least
-    j >= 1 with a | F_j, each word has no "11" and sums to the value its
-    identity fixes, so by Zeckendorf's uniqueness it is the word that
-    synthesis derives; from alpha on, each word must be the checked word
-    of the residue alpha below, rotated by alpha for a period word and
-    unchanged for a tail word, as ``_orbit`` proves.  An unreadable file,
-    bad UTF-8 or bad JSON, like any file that is not the canonical spec,
-    is a ``DomainError``.
+    exact without synthesis (``from_json_dict``).  Below alpha, the least
+    j >= 1 with a | F_j, a period word has no "11" and sums to the value
+    its identity fixes, so by Zeckendorf's uniqueness it is the word that
+    synthesis derives; from alpha on it must be the checked word of the
+    residue alpha below rotated by alpha, as ``_orbit`` proves.  A tail
+    word must be the greedy word of R(n) for its class mod alpha, from one
+    oracle walk of alpha values of n, and keep the junction free of "11".
+    An unreadable file, bad UTF-8 or bad JSON, like any file that is not
+    the canonical spec, is a ``DomainError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -570,6 +570,16 @@ def test_synthesize_derives_one_tail_per_residue_of_a_cycle_start(
     assert len(calls) == len(spec.z) // classes_per_cycle
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_pattern_spec_refuses_m_below_one(spec2, m):
+    # Every residue is taken mod M: with M = 0 evaluate, verify,
+    # is_admissible and splice_value would divide by zero.
+    with pytest.raises(DomainError, match=rf"need M >= 1, got M={m}$"):
+        PatternSpec(a=2, M=m, z={}, tail={})
+    with pytest.raises(DomainError, match=rf"need M >= 1, got M={m}$"):
+        dataclasses.replace(spec2, M=m)
+
+
 def test_empty_period_is_a_domain_error_and_a_mismatch(spec7):
     # Only a hand-built spec can carry an empty period word.  evaluate
     # refuses it as it refuses a missing class, naming the residue, and
@@ -1053,35 +1063,70 @@ def test_from_json_refuses_canonical_words_at_the_wrong_residue(a):
             from_json_dict(data)
 
 
+def _counted_walk(walked):
+    """``_oracle_walk``, appending to ``walked`` the number of values each
+    walk yields."""
+    def walk(a, lo, hi):
+        walked.append(0)
+        for item in _oracle_walk(a, lo, hi):
+            walked[-1] += 1
+            yield item
+
+    return walk
+
+
 @pytest.mark.parametrize("a, classes", [(11, 1), (30, 2), (137, 4), (2017, 4)])
 def test_from_json_sums_words_below_alpha_along_one_walk_of_alpha(a, classes, monkeypatch):
-    # M / alpha = classes.  Only the residues below alpha cost sums, one
-    # per distinct b for the period words, and one oracle walk of alpha
-    # values of n gives every tail value.
+    # M / alpha = classes.  One oracle walk of alpha values of n gives the
+    # greedy tail word of each class, one per admissible n of the walk;
+    # only the period words below alpha cost sums, one per distinct b, and
+    # no tail word is summed.
     spec = _spec(a)
     alpha = _alpha(a)
     assert spec.M == classes * alpha
-    walked, period_sums, tail_sums = [], [], []
+    walked, greedy, sums = [], [], []
 
-    def counted_walk(a_, lo, hi):
-        walked.append(0)
-        for item in _oracle_walk(a_, lo, hi):
-            walked[-1] += 1
-            yield item
+    def counted_greedy(value, i0, fibs):
+        greedy.append(_greedy_word(value, i0, fibs))
+        return greedy[-1]
 
     word_value = zeckinv.pattern._word_value
 
     def counted_value(word, top, fibs):
-        (period_sums if top == spec.M + 1 else tail_sums).append(word)
+        sums.append((word, top))
         return word_value(word, top, fibs)
 
-    monkeypatch.setattr(zeckinv.pattern, "_oracle_walk", counted_walk)
+    monkeypatch.setattr(zeckinv.pattern, "_oracle_walk", _counted_walk(walked))
+    monkeypatch.setattr(zeckinv.pattern, "_greedy_word", counted_greedy)
     monkeypatch.setattr(zeckinv.pattern, "_word_value", counted_value)
     assert from_json_dict(to_json_dict(spec)) == spec
     assert walked == [alpha]
     below = [r for r in spec.z if r < alpha]
-    assert sorted(period_sums) == sorted({spec.z[r].period for r in below})
-    assert sorted(tail_sums) == sorted(spec.tail[r] for r in below)
+    assert sorted(greedy) == sorted(spec.tail[r] for r in below)
+    periods = {spec.z[r].b: spec.z[r].period for r in below}
+    assert sorted(sums) == sorted((word, spec.M + 1) for word in periods.values())
+
+
+@pytest.mark.parametrize("a", [30, 137, 2017])
+def test_synthesize_cross_checks_all_m_residues_along_one_walk(a, monkeypatch):
+    # The tail table holds one value per class mod alpha < M, yet the
+    # oracle cross-check reads all M values of n from n0, and an oracle off
+    # by one at the last admissible n alone is caught there.
+    spec = _spec(a)
+    assert _alpha(a) < spec.M
+    walked = []
+    monkeypatch.setattr(zeckinv.pattern, "_oracle_walk", _counted_walk(walked))
+    assert synthesize(a) == spec
+    assert walked == [spec.M]
+    last = max(n for n in range(spec.n0, spec.n0 + spec.M) if spec.is_admissible(n))
+
+    def off_at_last(a_, lo, hi):
+        for n, (g, value, f, f1) in zip(range(lo, hi + 1), _oracle_walk(a_, lo, hi)):
+            yield g, value + (n == last) if g == 1 else value, f, f1
+
+    monkeypatch.setattr(zeckinv.pattern, "_oracle_walk", off_at_last)
+    with pytest.raises(SynthesisError, match=rf"exact remainder at a={a}, n={last}$"):
+        synthesize(a)
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
